@@ -19,22 +19,26 @@ labels, ranks, ...) lives:
   vertex they touch through the same ``read`` path, so RAF/cache
   accounting sees the extra fine-grained traffic.
 
-The algorithm kernels themselves live in :mod:`repro.workloads.kernels`
-and are dispatched through the :mod:`repro.workloads` registry; the
-``bfs``/``sssp``/``connected_components`` methods below remain as
-:class:`DeprecationWarning` shims.
+The engine is an :class:`~repro.traversal.source.EdgeSource`: the
+algorithm bodies in :mod:`repro.traversal` run on it unchanged, and
+:meth:`~repro.workloads.Workload.run` dispatches them by name.  Its
+:meth:`~ExternalGraphEngine.algorithm` and :meth:`~ExternalGraphEngine.step`
+scopes open the ``engine.<algorithm>``/``engine.step`` spans, reset the
+traffic counters per run, and mark each step boundary on the backend.
 """
 
 from __future__ import annotations
 
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any, Iterator
 
 import numpy as np
 
 from ..config import VERTEX_ID_BYTES
 from ..errors import ConfigError, DeviceError, TraceError
 from ..graph.csr import CSRGraph
+from ..telemetry.tracer import get_tracer
 from .backend import ExternalMemoryBackend, MemoryStats
 
 __all__ = [
@@ -60,10 +64,6 @@ class EngineRun:
     values: np.ndarray
     steps: int
     stats: MemoryStats
-
-
-#: Backwards-compatible alias (the bundle predates the public name).
-_EngineRun = EngineRun
 
 
 class ExternalGraphEngine:
@@ -95,6 +95,8 @@ class ExternalGraphEngine:
             )
         self.graph = graph
         self.memory_mode = memory_mode
+        #: Steps completed in the current (or last) algorithm run.
+        self.steps = 0
         self._weighted = graph.is_weighted
         self._record_bytes = VERTEX_ID_BYTES * (2 if self._weighted else 1)
         if self._weighted:
@@ -172,32 +174,28 @@ class ExternalGraphEngine:
         self.backend.read(starts, lengths)
         return int(lengths.sum())
 
-    # -- deprecated per-algorithm entry points -------------------------------
-    #
-    # The kernels moved to repro.workloads (imported lazily: workloads
-    # imports this module at its top level).  These shims keep every old
-    # call site working, byte-for-byte, under a DeprecationWarning.
+    # -- run and step scopes ---------------------------------------------------
 
-    def _run_workload(self, name: str, source: int | None) -> EngineRun:
-        warnings.warn(
-            f"ExternalGraphEngine.{'connected_components' if name == 'cc' else name}()"
-            " is deprecated; use repro.workloads.get("
-            f"{name!r}).run(engine, source=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        from .. import workloads
+    @contextmanager
+    def algorithm(self, name: str, **attrs: Any) -> Iterator[None]:
+        """Scope of one algorithm run: fresh counters, one ``engine.<name>`` span."""
+        self.backend.reset_stats()
+        self.steps = 0
+        with get_tracer().span(f"engine.{name}", **attrs):
+            yield
 
-        return workloads.get(name).run(self, source=source)
-
-    def bfs(self, source: int = 0) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("bfs").run(engine, source=...)``."""
-        return self._run_workload("bfs", source)
-
-    def sssp(self, source: int = 0) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("sssp").run(engine, source=...)``."""
-        return self._run_workload("sssp", source)
-
-    def connected_components(self) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("cc").run(engine)``."""
-        return self._run_workload("cc", None)
+    @contextmanager
+    def step(self, frontier_size: int) -> Iterator[None]:
+        """Scope of one step: an ``engine.step`` span, then the step boundary."""
+        tracer = get_tracer()
+        with tracer.span("engine.step") as span:
+            fetched = self.backend.stats.fetched_bytes
+            yield
+            self.backend.end_step()
+            if tracer.enabled:
+                span.set(
+                    step=self.steps,
+                    frontier_size=int(frontier_size),
+                    bytes_read=self.backend.stats.fetched_bytes - fetched,
+                )
+            self.steps += 1

@@ -24,6 +24,7 @@ time, so a top-level back-import would cycle.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -183,12 +184,12 @@ class TrafficSpec:
     controller: bool = True
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise SpecError("traffic.duration_s must be positive")
-        if self.base_rate <= 0:
-            raise SpecError("traffic.base_rate must be positive")
-        if self.slo_p99_us <= 0:
-            raise SpecError("traffic.slo_p99_us must be positive")
+        for name in ("duration_s", "base_rate", "slo_p99_us"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SpecError(
+                    f"traffic.{name} must be positive and finite, got {value}"
+                )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":

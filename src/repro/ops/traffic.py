@@ -31,6 +31,12 @@ __all__ = ["BurstEpisode", "Query", "TrafficModel"]
 DEFAULT_MIX: dict[str, float] = {"bfs": 0.6, "cc": 0.25, "sssp": 0.15}
 
 
+def _valid_weights(weights: dict[str, float]) -> bool:
+    """Finite, non-negative weights with a positive sum."""
+    values = weights.values()
+    return all(math.isfinite(w) and w >= 0 for w in values) and sum(values) > 0
+
+
 @dataclass(frozen=True)
 class BurstEpisode:
     """A flash crowd: arrivals run ``multiplier``-times hotter for a while."""
@@ -116,16 +122,13 @@ class TrafficModel:
             raise ConfigError("day_length must be positive and finite")
         if not self.mix:
             raise ConfigError("query mix must not be empty")
-        if any(w < 0 for w in self.mix.values()) or sum(self.mix.values()) <= 0:
-            raise ConfigError("query mix weights must be >= 0 and sum > 0")
+        if not _valid_weights(self.mix):
+            raise ConfigError("query mix weights must be finite, >= 0 and sum > 0")
         if self.tenants:
             if any(not name for name in self.tenants):
                 raise ConfigError("tenant names must be non-empty")
-            if (
-                any(w < 0 for w in self.tenants.values())
-                or sum(self.tenants.values()) <= 0
-            ):
-                raise ConfigError("tenant weights must be >= 0 and sum > 0")
+            if not _valid_weights(self.tenants):
+                raise ConfigError("tenant weights must be finite, >= 0 and sum > 0")
 
     # -- rate model ----------------------------------------------------------
 

@@ -1,14 +1,19 @@
 """Graph traversal algorithms instrumented to emit external-memory traces.
 
-Each algorithm runs the real computation (producing depths, distances,
-labels, or ranks) **and** records, per synchronous step, the edge-sublist
-byte ranges a GPU kernel would fetch from external memory for that step's
-frontier.  Those :class:`~repro.traversal.trace.AccessTrace` objects are
-what the memory-system models downstream consume (Section 2.1: access is
+Each registered workload's algorithm is one ``*_kernel`` body written
+against the :class:`~repro.traversal.source.EdgeSource` protocol, so the
+same code runs in memory and on the external-memory engine.  The public
+functions (:func:`bfs`, :func:`sssp_bellman_ford`, ...) run a kernel on a
+:class:`~repro.traversal.source.CSRSource`: they return the real result
+(depths, distances, labels, or ranks) **and** the edge-sublist byte
+ranges a GPU kernel would fetch per synchronous step.  Those
+:class:`~repro.traversal.trace.AccessTrace` objects are what the
+memory-system models downstream consume (Section 2.1: access is
 fine-grained, random, and on-demand).
 """
 
 from .trace import AccessTrace, TraceStep, trace_from_frontiers
+from .source import CSRSource, EdgeSource
 from .frontier import (
     dense_to_sparse,
     sparse_to_dense,
@@ -27,14 +32,15 @@ from .labelprop import (
     label_propagation,
     label_propagation_reference,
     mode_label_update,
-    propagate_labels_once,
 )
-from .walks import RandomWalkResult, random_walks, walk_step_choices
+from .walks import RandomWalkResult, random_walks
 
 __all__ = [
     "AccessTrace",
     "TraceStep",
     "trace_from_frontiers",
+    "EdgeSource",
+    "CSRSource",
     "dense_to_sparse",
     "sparse_to_dense",
     "frontier_union",
@@ -64,8 +70,6 @@ __all__ = [
     "label_propagation",
     "label_propagation_reference",
     "mode_label_update",
-    "propagate_labels_once",
     "RandomWalkResult",
     "random_walks",
-    "walk_step_choices",
 ]

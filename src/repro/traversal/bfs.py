@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource, check_source
+from .trace import AccessTrace
 
-__all__ = ["BFSResult", "bfs", "bfs_reference"]
+__all__ = ["BFSResult", "bfs_kernel", "bfs", "bfs_reference"]
 
 
 @dataclass(frozen=True)
@@ -61,51 +60,51 @@ class BFSResult:
         ]
 
 
-def bfs(graph: CSRGraph, source: int = 0) -> BFSResult:
-    """Run level-synchronous BFS from ``source`` and record its trace.
+def bfs_kernel(src: EdgeSource, source: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous BFS from ``source``; returns ``(depths, parents)``.
 
-    The trace's step *k* contains the sublist reads for frontier depth *k*
-    (the source's own sublist is step 0).
+    Step *k* reads the sublists of the depth-*k* frontier (the source's
+    own sublist is step 0).
     """
+    graph = src.graph
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise TraceError(f"source {source} out of range [0, {n})")
+    check_source(graph, source)
     depths = np.full(n, -1, dtype=np.int64)
     parents = np.full(n, -1, dtype=np.int64)
     depths[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     # Reused discovery mask: O(n) bytes once, instead of an O(E_f log E_f)
     # np.unique sort per level to deduplicate the next frontier.
     discovered = np.zeros(n, dtype=bool)
     depth = 0
-    while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, _ = gather_neighbors(graph, frontier, with_sources=True)
-        unseen = depths[neighbors] < 0
-        neighbors, sources = neighbors[unseen], sources[unseen]
-        if neighbors.size:
-            # A vertex may be discovered by several frontier vertices at
-            # once; keep the first discoverer as parent (any is valid).
-            # Fancy assignment keeps the *last* write per index, so
-            # assigning reversed arrays leaves the first discoverer.
-            parents[neighbors[::-1]] = sources[::-1]
-            depths[neighbors] = depth + 1
-            discovered[neighbors] = True
-            next_frontier = np.flatnonzero(discovered)
-            discovered[next_frontier] = False
+    with src.algorithm("bfs", source=source, vertices=n):
+        while frontier.size:
+            with src.step(frontier.size):
+                src.touch_vertex_state(frontier)
+                neighbors, sources, _ = src.read_neighbors(frontier)
+                unseen = depths[neighbors] < 0
+                neighbors, sources = neighbors[unseen], sources[unseen]
+                # A vertex may be discovered by several frontier vertices
+                # at once; keep the first discoverer as parent (any is
+                # valid).  Fancy assignment keeps the *last* write per
+                # index, so assigning reversed arrays leaves the first.
+                parents[neighbors[::-1]] = sources[::-1]
+                depths[neighbors] = depth + 1
+                discovered[neighbors] = True
+                next_frontier = np.flatnonzero(discovered)
+                discovered[next_frontier] = False
+                src.touch_vertex_state(next_frontier)
             frontier = next_frontier
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-        depth += 1
-    trace = trace_from_frontiers(graph, frontiers, algorithm="bfs")
-    return BFSResult(
-        source=source,
-        depths=depths,
-        parents=parents,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
-    )
+            depth += 1
+    return depths, parents
+
+
+def bfs(graph: CSRGraph, source: int = 0) -> BFSResult:
+    """Run :func:`bfs_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    depths, parents = bfs_kernel(src, source)
+    trace = src.trace("bfs")
+    return BFSResult(source, depths, parents, trace.frontier_sizes, trace)
 
 
 def bfs_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:
@@ -115,8 +114,7 @@ def bfs_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:
     vectorized gather cannot hide in both implementations.
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise TraceError(f"source {source} out of range [0, {n})")
+    check_source(graph, source)
     depths = np.full(n, -1, dtype=np.int64)
     depths[source] = 0
     queue = [source]

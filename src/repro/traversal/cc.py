@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource
+from .trace import AccessTrace
 
-__all__ = ["CCResult", "connected_components", "cc_reference"]
+__all__ = ["CCResult", "cc_kernel", "connected_components", "cc_reference"]
 
 
 @dataclass(frozen=True)
@@ -34,35 +34,41 @@ class CCResult:
         return int(np.unique(self.labels).size)
 
 
-def connected_components(graph: CSRGraph) -> CCResult:
-    """Label-propagation components; assumes a symmetric (undirected) graph.
+def cc_kernel(src: EdgeSource) -> np.ndarray:
+    """Label-propagation components of a symmetric graph; returns labels.
 
     For directed inputs this computes components of the underlying
     *directed reachability by min-label push*, which equals weak components
     only when the edge set is symmetric — symmetrize first if needed.
     """
-    n = graph.num_vertices
+    n = src.graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     changed = np.zeros(n, dtype=bool)
-    while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, _ = gather_neighbors(graph, frontier, with_sources=True)
-        if neighbors.size == 0:
-            break
-        before = labels[neighbors].copy()
-        np.minimum.at(labels, neighbors, labels[sources])
-        # Mask-dedupe the improved set (no per-round np.unique sort).
-        changed[neighbors[labels[neighbors] < before]] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
-    trace = trace_from_frontiers(graph, frontiers, algorithm="cc")
-    return CCResult(
-        labels=labels,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
-    )
+    with src.algorithm("cc", vertices=n):
+        while frontier.size:
+            with src.step(frontier.size):
+                src.touch_vertex_state(frontier)
+                neighbors, sources, _ = src.read_neighbors(frontier)
+                if neighbors.size:
+                    before = labels[neighbors].copy()
+                    np.minimum.at(labels, neighbors, labels[sources])
+                    # Mask-dedupe the improved set (no per-round sort).
+                    changed[neighbors[labels[neighbors] < before]] = True
+                frontier = np.flatnonzero(changed)
+                changed[frontier] = False
+                src.touch_vertex_state(frontier)
+            if neighbors.size == 0:
+                break
+    return labels
+
+
+def connected_components(graph: CSRGraph) -> CCResult:
+    """Run :func:`cc_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    labels = cc_kernel(src)
+    trace = src.trace("cc")
+    return CCResult(labels, trace.frontier_sizes, trace)
 
 
 def cc_reference(graph: CSRGraph) -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = [
     "dense_to_sparse",
     "sparse_to_dense",
     "frontier_union",
+    "ragged_indices",
     "gather_neighbors",
 ]
 
@@ -56,6 +57,20 @@ def frontier_union(*frontiers: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(non_empty))
 
 
+def ragged_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``, in order.
+
+    Position of each output element within its range: ``arange(total)``
+    minus the range's starting output offset, plus the range's start.
+    """
+    out_start = np.cumsum(lengths) - lengths
+    return (
+        np.arange(int(lengths.sum()), dtype=np.int64)
+        - np.repeat(out_start, lengths)
+        + np.repeat(starts, lengths)
+    )
+
+
 def gather_neighbors(
     graph: CSRGraph, frontier: np.ndarray, *, with_sources: bool = False
 ) -> tuple[np.ndarray, ...]:
@@ -73,24 +88,8 @@ def gather_neighbors(
     indices ``indptr[v] .. indptr[v]+k-1``.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
-    if frontier.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty.copy(), empty.copy()) if with_sources else (empty,)
-    starts = graph.indptr[frontier]
     counts = graph.degrees[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty.copy(), empty.copy()) if with_sources else (empty,)
-    # Position of each output element within its vertex's block:
-    # arange(total) minus the block's starting output offset, plus the
-    # block's starting CSR offset.
-    block_out_start = np.cumsum(counts) - counts
-    edge_idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(block_out_start, counts)
-        + np.repeat(starts, counts)
-    )
+    edge_idx = ragged_indices(graph.indptr[frontier], counts)
     neighbors = graph.indices[edge_idx]
     if not with_sources:
         return (neighbors,)

@@ -20,10 +20,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource
+from .trace import AccessTrace
 
-__all__ = ["KCoreResult", "kcore", "core_numbers"]
+__all__ = ["KCoreResult", "kcore_kernel", "kcore", "core_numbers"]
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,49 @@ class KCoreResult:
         return int(self.in_core.sum())
 
 
-def kcore(graph: CSRGraph, k: int) -> KCoreResult:
-    """Peel ``graph`` down to its k-core; assumes a symmetric graph."""
+def kcore_kernel(src: EdgeSource, *, k: int = 2) -> np.ndarray:
+    """Peel a symmetric graph down to its k-core; returns the core mask.
+
+    Each round reads the peeled vertices' sublists to decrement their
+    surviving neighbors' residual degrees.
+    """
     if k < 1:
         raise TraceError(f"k must be >= 1, got {k}")
+    graph = src.graph
     n = graph.num_vertices
     residual = graph.degrees.astype(np.int64).copy()
     alive = np.ones(n, dtype=bool)
-    frontiers: list[np.ndarray] = []
-    while True:
-        peel = np.flatnonzero(alive & (residual < k))
-        if peel.size == 0:
-            break
-        frontiers.append(peel)
-        alive[peel] = False
-        neighbors, _, _ = gather_neighbors(graph, peel, with_sources=True)
-        neighbors = neighbors[alive[neighbors]]
-        if neighbors.size:
-            np.subtract.at(residual, neighbors, 1)
-    if not frontiers:
-        # Nothing peeled: record one empty step so the trace is non-empty.
-        frontiers.append(np.empty(0, dtype=np.int64))
-    trace = trace_from_frontiers(graph, frontiers, algorithm=f"kcore-{k}")
-    return KCoreResult(
-        k=k, in_core=alive, rounds=len(frontiers), trace=trace
-    )
+    touched = np.zeros(n, dtype=bool)
+    rounds = 0
+    with src.algorithm("kcore", vertices=n, k=k):
+        while True:
+            peel = np.flatnonzero(alive & (residual < k))
+            if peel.size == 0:
+                break
+            with src.step(peel.size):
+                src.touch_vertex_state(peel)
+                alive[peel] = False
+                neighbors, _, _ = src.read_neighbors(peel)
+                neighbors = neighbors[alive[neighbors]]
+                if neighbors.size:
+                    np.subtract.at(residual, neighbors, 1)
+                    touched[neighbors] = True
+                    updated = np.flatnonzero(touched)
+                    touched[updated] = False
+                    src.touch_vertex_state(updated)
+            rounds += 1
+        if rounds == 0:
+            # Nothing peeled: one empty step, so the trace is non-empty.
+            with src.step(0):
+                src.read_neighbors(np.empty(0, dtype=np.int64))
+    return alive
+
+
+def kcore(graph: CSRGraph, k: int) -> KCoreResult:
+    """Run :func:`kcore_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    in_core = kcore_kernel(src, k=k)
+    return KCoreResult(k, in_core, len(src.frontiers), src.trace(f"kcore-{k}"))
 
 
 def core_numbers(graph: CSRGraph, max_k: int | None = None) -> np.ndarray:

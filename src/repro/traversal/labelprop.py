@@ -19,14 +19,14 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource
+from .trace import AccessTrace
 
 __all__ = [
     "LabelPropagationResult",
+    "label_propagation_kernel",
     "label_propagation",
     "label_propagation_reference",
-    "propagate_labels_once",
     "mode_label_update",
 ]
 
@@ -51,11 +51,9 @@ def mode_label_update(
 ) -> np.ndarray:
     """Apply one mode-label round given a flat ``(sources, neighbors)`` edge view.
 
-    Shared by the in-memory and external-memory implementations so both
-    compute bit-identical labels.  Vertices that do not appear in
-    ``sources`` keep their label.  Vectorized as a run-length count over
-    ``(vertex, neighbor_label)`` pairs followed by a pick of the
-    (count-max, label-min) run per vertex.
+    Vertices that do not appear in ``sources`` keep their label.
+    Vectorized as a run-length count over ``(vertex, neighbor_label)``
+    pairs followed by a pick of the (count-max, label-min) run per vertex.
     """
     if neighbors.size == 0:
         return labels.copy()
@@ -82,39 +80,43 @@ def mode_label_update(
     return new_labels
 
 
-def propagate_labels_once(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
-    """One synchronous round: mode of neighbor labels, smallest-label ties."""
-    all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
-    neighbors, sources, _ = gather_neighbors(graph, all_vertices, with_sources=True)
-    return mode_label_update(labels, neighbors, sources)
+def label_propagation_kernel(
+    src: EdgeSource, *, max_iterations: int = 20
+) -> tuple[np.ndarray, bool]:
+    """Synchronous label propagation, one full-frontier step per round.
 
-
-def label_propagation(
-    graph: CSRGraph, *, max_iterations: int = 20
-) -> LabelPropagationResult:
-    """Synchronous label propagation with one full-frontier step per round."""
-    n = graph.num_vertices
+    Returns ``(labels, converged)``.
+    """
+    n = src.graph.num_vertices
     if n == 0:
         raise TraceError("label propagation needs a non-empty graph")
     if max_iterations < 1:
         raise TraceError(f"max_iterations must be >= 1, got {max_iterations}")
     labels = np.arange(n, dtype=np.int64)
     all_vertices = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        frontiers.append(all_vertices)
-        new_labels = propagate_labels_once(graph, labels)
-        if np.array_equal(new_labels, labels):
-            converged = True
+    with src.algorithm("label_propagation", vertices=n):
+        for _ in range(max_iterations):
+            with src.step(n):
+                src.touch_vertex_state(all_vertices)
+                neighbors, sources, _ = src.read_neighbors(all_vertices)
+                new_labels = mode_label_update(labels, neighbors, sources)
+                src.touch_vertex_state(all_vertices)
+            converged = np.array_equal(new_labels, labels)
             labels = new_labels
-            break
-        labels = new_labels
-    trace = trace_from_frontiers(graph, frontiers, algorithm="label_propagation")
-    return LabelPropagationResult(
-        labels=labels, iterations=iterations, converged=converged, trace=trace
-    )
+            if converged:
+                break
+    return labels, converged
+
+
+def label_propagation(
+    graph: CSRGraph, *, max_iterations: int = 20
+) -> LabelPropagationResult:
+    """Run :func:`label_propagation_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    labels, converged = label_propagation_kernel(src, max_iterations=max_iterations)
+    trace = src.trace("label_propagation")
+    return LabelPropagationResult(labels, len(src.frontiers), converged, trace)
 
 
 def label_propagation_reference(

@@ -16,10 +16,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource
+from .trace import AccessTrace
 
-__all__ = ["PageRankResult", "pagerank", "pagerank_reference"]
+__all__ = ["PageRankResult", "pagerank_kernel", "pagerank", "pagerank_reference"]
 
 
 @dataclass(frozen=True)
@@ -32,20 +32,22 @@ class PageRankResult:
     trace: AccessTrace
 
 
-def pagerank(
-    graph: CSRGraph,
+def pagerank_kernel(
+    src: EdgeSource,
     *,
     damping: float = 0.85,
     tol: float = 1e-6,
     max_iterations: int = 100,
-) -> PageRankResult:
-    """Push-style power iteration with a full-graph trace step per iteration.
+) -> tuple[np.ndarray, bool]:
+    """Push-style power iteration, one full-graph step per iteration.
 
-    Dangling (0 out-degree) mass is redistributed uniformly, the standard
-    correction, so ranks always sum to 1.
+    Returns ``(ranks, converged)``.  Dangling (0 out-degree) mass is
+    redistributed uniformly, the standard correction, so ranks always
+    sum to 1.
     """
     if not 0 < damping < 1:
         raise TraceError(f"damping must be in (0, 1), got {damping}")
+    graph = src.graph
     n = graph.num_vertices
     if n == 0:
         raise TraceError("PageRank needs a non-empty graph")
@@ -53,28 +55,39 @@ def pagerank(
     degrees = graph.degrees.astype(np.float64)
     dangling = degrees == 0
     all_vertices = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        frontiers.append(all_vertices)
-        contrib = np.where(dangling, 0.0, ranks / np.maximum(degrees, 1.0))
-        neighbors, sources, _ = gather_neighbors(
-            graph, all_vertices, with_sources=True
-        )
-        incoming = np.zeros(n, dtype=np.float64)
-        np.add.at(incoming, neighbors, contrib[sources])
-        dangling_mass = ranks[dangling].sum() / n
-        new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
-        delta = np.abs(new_ranks - ranks).sum()
-        ranks = new_ranks
-        if delta < tol:
-            converged = True
-            break
-    trace = trace_from_frontiers(graph, frontiers, algorithm="pagerank")
-    return PageRankResult(
-        ranks=ranks, iterations=iterations, converged=converged, trace=trace
+    with src.algorithm("pagerank", vertices=n):
+        for _ in range(max_iterations):
+            with src.step(n):
+                src.touch_vertex_state(all_vertices)
+                contrib = np.where(dangling, 0.0, ranks / np.maximum(degrees, 1.0))
+                neighbors, sources, _ = src.read_neighbors(all_vertices)
+                incoming = np.zeros(n, dtype=np.float64)
+                np.add.at(incoming, neighbors, contrib[sources])
+                dangling_mass = ranks[dangling].sum() / n
+                new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
+                delta = np.abs(new_ranks - ranks).sum()
+                ranks = new_ranks
+                src.touch_vertex_state(all_vertices)
+            if delta < tol:
+                converged = True
+                break
+    return ranks, converged
+
+
+def pagerank(
+    graph: CSRGraph,
+    *,
+    damping: float = 0.85,
+    tol: float = 1e-6,
+    max_iterations: int = 100,
+) -> PageRankResult:
+    """Run :func:`pagerank_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    ranks, converged = pagerank_kernel(
+        src, damping=damping, tol=tol, max_iterations=max_iterations
     )
+    return PageRankResult(ranks, len(src.frontiers), converged, src.trace("pagerank"))
 
 
 def pagerank_reference(

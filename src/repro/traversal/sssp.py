@@ -24,9 +24,16 @@ import numpy as np
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
 from .frontier import gather_neighbors
+from .source import CSRSource, EdgeSource, check_source
 from .trace import AccessTrace, trace_from_frontiers
 
-__all__ = ["SSSPResult", "sssp_bellman_ford", "sssp_delta_stepping", "sssp_reference"]
+__all__ = [
+    "SSSPResult",
+    "sssp_kernel",
+    "sssp_bellman_ford",
+    "sssp_delta_stepping",
+    "sssp_reference",
+]
 
 
 @dataclass(frozen=True)
@@ -52,49 +59,47 @@ def _require_weighted(graph: CSRGraph) -> np.ndarray:
     return graph.weights
 
 
-def _check_source(graph: CSRGraph, source: int) -> None:
-    if not 0 <= source < graph.num_vertices:
-        raise TraceError(
-            f"source {source} out of range [0, {graph.num_vertices})"
-        )
-
-
-def sssp_bellman_ford(graph: CSRGraph, source: int = 0) -> SSSPResult:
+def sssp_kernel(src: EdgeSource, source: int = 0) -> np.ndarray:
     """Frontier-based Bellman-Ford (the EMOGI/BaM GPU formulation).
 
-    Terminates after at most ``n`` rounds on any non-negative-weight input;
-    rounds after convergence never run because the frontier empties.
+    Returns the distances.  Terminates after at most ``n`` rounds on any
+    non-negative-weight input; rounds after convergence never run
+    because the frontier empties.
     """
-    weights = _require_weighted(graph)
-    _check_source(graph, source)
+    graph = src.graph
+    _require_weighted(graph)
+    check_source(graph, source)
     n = graph.num_vertices
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     changed = np.zeros(n, dtype=bool)
-    while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, edge_idx = gather_neighbors(
-            graph, frontier, with_sources=True
-        )
-        if neighbors.size == 0:
-            break
-        candidate = dist[sources] + weights[edge_idx]
-        before = dist[neighbors].copy()
-        np.minimum.at(dist, neighbors, candidate)
-        # Mask-dedupe the improved set: O(E_f + n) against the
-        # O(E_f log E_f) sort np.unique would pay per round.
-        changed[neighbors[dist[neighbors] < before]] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
-    trace = trace_from_frontiers(graph, frontiers, algorithm="sssp")
-    return SSSPResult(
-        source=source,
-        distances=dist,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
-    )
+    with src.algorithm("sssp", source=source, vertices=n):
+        while frontier.size:
+            with src.step(frontier.size):
+                src.touch_vertex_state(frontier)
+                neighbors, sources, weights = src.read_neighbors(frontier)
+                if neighbors.size:
+                    candidate = dist[sources] + weights
+                    before = dist[neighbors].copy()
+                    np.minimum.at(dist, neighbors, candidate)
+                    # Mask-dedupe the improved set: O(E_f + n) against
+                    # the O(E_f log E_f) sort np.unique would pay.
+                    changed[neighbors[dist[neighbors] < before]] = True
+                frontier = np.flatnonzero(changed)
+                changed[frontier] = False
+                src.touch_vertex_state(frontier)
+            if neighbors.size == 0:
+                break
+    return dist
+
+
+def sssp_bellman_ford(graph: CSRGraph, source: int = 0) -> SSSPResult:
+    """Run :func:`sssp_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    dist = sssp_kernel(src, source)
+    trace = src.trace("sssp")
+    return SSSPResult(source, dist, trace.frontier_sizes, trace)
 
 
 def sssp_delta_stepping(
@@ -106,7 +111,7 @@ def sssp_delta_stepping(
     choice (bucket width on the order of the average edge weight).
     """
     weights = _require_weighted(graph)
-    _check_source(graph, source)
+    check_source(graph, source)
     if delta is None:
         delta = float(weights.mean()) if weights.size else 1.0
     if not delta > 0:
@@ -178,7 +183,7 @@ def sssp_delta_stepping(
 def sssp_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:
     """Heap-based Dijkstra oracle (plain Python, for tests)."""
     _require_weighted(graph)
-    _check_source(graph, source)
+    check_source(graph, source)
     n = graph.num_vertices
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0

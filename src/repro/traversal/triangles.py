@@ -22,10 +22,16 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .frontier import ragged_indices
+from .source import CSRSource, EdgeSource
+from .trace import AccessTrace
 
-__all__ = ["TriangleCountResult", "triangle_count", "triangle_count_reference"]
+__all__ = [
+    "TriangleCountResult",
+    "triangle_count_kernel",
+    "triangle_count",
+    "triangle_count_reference",
+]
 
 #: Vertices processed per trace step (phase-1 batch size).
 TRIANGLE_BATCH = 1024
@@ -44,46 +50,63 @@ class TriangleCountResult:
         return int(self.per_vertex.sum())
 
 
-def _count_at(graph: CSRGraph, u: int) -> int:
-    """Triangles whose minimum vertex is ``u`` (forward counting)."""
-    nbrs = graph.neighbors(u)
-    higher = nbrs[nbrs > u]
-    if higher.size < 2:
-        return 0
-    # For each v in higher, every w in N(v) with w > v and w in higher
-    # closes the triangle (u, v, w).
-    cat, src, _ = gather_neighbors(graph, higher, with_sources=True)
-    forward = cat > src
-    return int(np.isin(cat[forward], higher).sum())
+def triangle_count_kernel(
+    src: EdgeSource, *, batch: int = TRIANGLE_BATCH
+) -> np.ndarray:
+    """Two-phase forward triangle counting; returns per-vertex counts.
 
-
-def triangle_count(graph: CSRGraph) -> TriangleCountResult:
-    """Count triangles with a two-phase per-batch access trace.
-
-    Phase 1 of each batch reads the batch vertices' own sublists (one
-    mostly-sequential step); phase 2 reads the sublists of the batch's
-    higher neighbors (one random-burst step).  Assumes a symmetric graph.
+    Per batch of vertices: phase 1 reads the batch's own sublists
+    (mostly sequential), phase 2 reads the batch's higher-neighbor
+    sublists (random burst).  Counts come from the fetched sublists,
+    never from host-side adjacency; each triangle is counted at its
+    minimum vertex.  Assumes a symmetric graph.
     """
+    graph = src.graph
     n = graph.num_vertices
     if n == 0:
         raise TraceError("triangle counting needs a non-empty graph")
     per_vertex = np.zeros(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     seen = np.zeros(n, dtype=bool)
-    for lo in range(0, n, TRIANGLE_BATCH):
-        batch = np.arange(lo, min(lo + TRIANGLE_BATCH, n), dtype=np.int64)
-        frontiers.append(batch)
-        for u in batch:
-            per_vertex[u] = _count_at(graph, int(u))
-        # Phase 2: the batch's higher-neighbor set, mask-deduped.
-        cat, src, _ = gather_neighbors(graph, batch, with_sources=True)
-        join = cat[cat > src]
-        seen[join] = True
-        joined = np.flatnonzero(seen).astype(np.int64)
-        seen[joined] = False
-        frontiers.append(joined)
-    trace = trace_from_frontiers(graph, frontiers, algorithm="triangle_count")
-    return TriangleCountResult(per_vertex=per_vertex, trace=trace)
+    degrees = graph.degrees
+    with src.algorithm("triangle_count", vertices=n):
+        for lo in range(0, n, batch):
+            chunk = np.arange(lo, min(lo + batch, n), dtype=np.int64)
+            with src.step(chunk.size):
+                src.touch_vertex_state(chunk)
+                cat1, src1, _ = src.read_neighbors(chunk)
+            # Phase 2: the batch's higher-neighbor set, mask-deduped.
+            seen[cat1[cat1 > src1]] = True
+            joined = np.flatnonzero(seen).astype(np.int64)
+            seen[joined] = False
+            with src.step(joined.size):
+                src.touch_vertex_state(joined)
+                cat2, _, _ = src.read_neighbors(joined)
+            # Segment cat1 by chunk vertex and cat2 by joined vertex
+            # (both are concatenated sublists).
+            deg1 = degrees[chunk]
+            starts1 = np.cumsum(deg1) - deg1
+            deg2 = degrees[joined]
+            starts2 = np.cumsum(deg2) - deg2
+            for i, u in enumerate(chunk):
+                seg = cat1[starts1[i] : starts1[i] + deg1[i]]
+                a = seg[seg > u]
+                if a.size < 2:
+                    continue
+                # w closes (u, v, w) when w > v and w is also in a.
+                pick = np.searchsorted(joined, a)
+                wcat = cat2[ragged_indices(starts2[pick], deg2[pick])]
+                forward = wcat > np.repeat(a, deg2[pick])
+                per_vertex[u] = int(np.isin(wcat[forward], a).sum())
+    return per_vertex
+
+
+def triangle_count(
+    graph: CSRGraph, *, batch: int = TRIANGLE_BATCH
+) -> TriangleCountResult:
+    """Run :func:`triangle_count_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    per_vertex = triangle_count_kernel(src, batch=batch)
+    return TriangleCountResult(per_vertex, src.trace("triangle_count"))
 
 
 def triangle_count_reference(graph: CSRGraph) -> int:

@@ -7,8 +7,7 @@ sublists of the vertices currently occupied — frontiers of at most
 pattern is the pure fine-grained pointer chase of Appendix B: very small
 random reads, no spatial locality, latency-bound rather than
 bandwidth-bound.  All randomness comes from one seeded generator, so a
-run is exactly reproducible (and the external-memory engine kernel
-replays the identical hop sequence).
+run is exactly reproducible on either edge source.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .trace import AccessTrace, trace_from_frontiers
+from .source import CSRSource, EdgeSource, check_source
+from .trace import AccessTrace
 
-__all__ = ["RandomWalkResult", "random_walks", "walk_step_choices"]
+__all__ = ["RandomWalkResult", "random_walk_kernel", "random_walks"]
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,61 @@ class RandomWalkResult:
         return int(self.visits.sum())
 
 
-def walk_step_choices(
-    graph: CSRGraph, positions: np.ndarray, draws: np.ndarray
+def random_walk_kernel(
+    src: EdgeSource,
+    source: int = 0,
+    *,
+    num_walkers: int = 64,
+    walk_length: int = 8,
+    seed: int = 0,
 ) -> np.ndarray:
-    """Next position of each active walker given uniform draws in [0, 1).
+    """Run ``num_walkers`` seeded uniform random walks from ``source``.
 
-    ``positions`` must all have non-zero out-degree; walker *i* moves to
-    the ``floor(draws[i] * degree)``-th out-neighbor of ``positions[i]``.
-    Shared by the in-memory and external-memory implementations so both
-    consume the RNG stream identically.
+    Returns per-vertex visit counts, including the starting positions.
+    Walkers that reach a sink (zero out-degree) stop there; each hop
+    reads the sublists of the distinct occupied non-sink vertices, and
+    walker *i* moves to the ``floor(draw * degree)``-th out-neighbor of
+    its position in the fetched sublist.
     """
-    degrees = graph.degrees[positions]
-    offsets = (draws * degrees).astype(np.int64)
-    # Guard the draws == 1.0-epsilon edge: offset must stay < degree.
-    offsets = np.minimum(offsets, degrees - 1)
-    return graph.indices[graph.indptr[positions] + offsets]
+    graph = src.graph
+    n = graph.num_vertices
+    check_source(graph, source)
+    if num_walkers < 1 or walk_length < 1:
+        raise TraceError("num_walkers and walk_length must be >= 1")
+    rng = np.random.default_rng(seed)
+    degrees = graph.degrees
+    positions = np.full(num_walkers, source, dtype=np.int64)
+    visits = np.zeros(n, dtype=np.int64)
+    visits[source] = num_walkers
+    hops = 0
+    with src.algorithm("random_walk", source=source, vertices=n):
+        for _ in range(walk_length):
+            active = degrees[positions] > 0
+            if not active.any():
+                break
+            frontier = np.unique(positions[active])
+            with src.step(frontier.size):
+                src.touch_vertex_state(frontier)
+                cat, _, _ = src.read_neighbors(frontier)
+                counts = degrees[frontier]
+                block = np.cumsum(counts) - counts
+                at = positions[active]
+                draws = rng.random(int(active.sum()))
+                # Guard the draws == 1.0-epsilon edge: offset < degree.
+                offsets = np.minimum(
+                    (draws * degrees[at]).astype(np.int64), degrees[at] - 1
+                )
+                moved = cat[block[np.searchsorted(frontier, at)] + offsets]
+                positions = positions.copy()
+                positions[active] = moved
+                np.add.at(visits, moved, 1)
+                src.touch_vertex_state(np.unique(moved))
+            hops += 1
+        if hops == 0:
+            # Source is a sink: one empty step, so the trace is non-empty.
+            with src.step(0):
+                src.read_neighbors(np.empty(0, dtype=np.int64))
+    return visits
 
 
 def random_walks(
@@ -64,36 +104,10 @@ def random_walks(
     walk_length: int = 8,
     seed: int = 0,
 ) -> RandomWalkResult:
-    """Run ``num_walkers`` seeded uniform random walks from ``source``.
-
-    Walkers that reach a sink (zero out-degree) stop there; each hop's
-    trace step reads the sublists of the distinct occupied non-sink
-    vertices.  Visit counts include the starting positions.
-    """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise TraceError(f"source {source} out of range [0, {n})")
-    if num_walkers < 1 or walk_length < 1:
-        raise TraceError("num_walkers and walk_length must be >= 1")
-    rng = np.random.default_rng(seed)
-    positions = np.full(num_walkers, source, dtype=np.int64)
-    visits = np.zeros(n, dtype=np.int64)
-    visits[source] = num_walkers
-    frontiers: list[np.ndarray] = []
-    hops = 0
-    for _ in range(walk_length):
-        active = graph.degrees[positions] > 0
-        if not active.any():
-            break
-        frontier = np.unique(positions[active])
-        frontiers.append(frontier)
-        draws = rng.random(int(active.sum()))
-        positions = positions.copy()
-        positions[active] = walk_step_choices(graph, positions[active], draws)
-        np.add.at(visits, positions[active], 1)
-        hops += 1
-    if not frontiers:
-        # Source is a sink: record one empty step so the trace is non-empty.
-        frontiers.append(np.empty(0, dtype=np.int64))
-    trace = trace_from_frontiers(graph, frontiers, algorithm="random_walk")
-    return RandomWalkResult(source=source, visits=visits, hops=hops, trace=trace)
+    """Run :func:`random_walk_kernel` in memory and record its trace."""
+    src = CSRSource(graph)
+    visits = random_walk_kernel(
+        src, source, num_walkers=num_walkers, walk_length=walk_length, seed=seed
+    )
+    hops = sum(f.size > 0 for f in src.frontiers)
+    return RandomWalkResult(source, visits, hops, src.trace("random_walk"))

@@ -2,19 +2,20 @@
 
 Mirrors :mod:`repro.systems`: one place maps the short names users type
 (``"bfs"``, ``"triangle_count"``, ``"label_propagation"``, ...) to a
-bundle of (external-memory kernel, in-memory trace function, access
-signature).  The CLI, the experiment runner, the fault harness, the
-sweeps, and the bench scenarios all resolve workload names here, so an
-unknown name fails the same way everywhere — with the valid choices
-spelled out in a typed :class:`~repro.errors.WorkloadError`.
+bundle of (kernel, in-memory trace entry point, access signature); both
+:meth:`Workload.run` and :meth:`Workload.trace` execute the one kernel.
+The CLI, the experiment runner, the fault harness, the sweeps, and the
+bench scenarios all resolve workload names here, so an unknown name
+fails the same way everywhere — with the valid choices spelled out in a
+typed :class:`~repro.errors.WorkloadError`.
 
 Usage::
 
     from repro import workloads
 
     wl = workloads.get("label_propagation")
-    run = wl.run(engine)                  # external-memory kernel
-    trace = wl.trace(graph)               # in-memory run -> AccessTrace
+    run = wl.run(engine)                  # kernel on the engine -> EngineRun
+    trace = wl.trace(graph)               # kernel in memory -> AccessTrace
     print(workloads.available())
 """
 
@@ -39,8 +40,9 @@ __all__ = [
     "describe",
 ]
 
-#: Kernel signature: ``kernel(engine, source, **options) -> EngineRun``.
-KernelFn = Callable[..., EngineRun]
+#: Kernel signature: ``kernel(edge_source, [source,] **options)``, returning
+#: the per-vertex values or a tuple led by them.
+KernelFn = Callable[..., Any]
 #: Trace signature: ``trace_fn(graph, source, **options) -> AccessTrace``.
 TraceFn = Callable[..., AccessTrace]
 
@@ -54,7 +56,7 @@ def _default_source(graph: CSRGraph) -> int:
 
 @dataclass(frozen=True)
 class Workload:
-    """One registered workload: kernel + trace function + signature.
+    """One registered workload: kernel body + trace entry point + signature.
 
     Attributes
     ----------
@@ -63,18 +65,20 @@ class Workload:
     signature:
         The workload's :class:`~repro.workloads.AccessSignature`.
     kernel:
-        External-memory kernel ``(engine, source, **options)``.
+        The algorithm body ``(edge_source, [source,] **options)``; it
+        takes ``source`` only when ``needs_source``.
     trace_fn:
-        In-memory runner returning an
+        In-memory entry point ``(graph, source, **options)`` running
+        ``kernel`` on a CSR source; returns the
         :class:`~repro.traversal.AccessTrace` for the model stack.
     requires_weights:
         Whether the graph needs edge weights (:meth:`prepare` attaches
         uniform random ones, the standard benchmark setup).
     needs_source:
         Whether the algorithm consumes a source vertex at all (BFS does,
-        CC does not); purely informational for docs and CLIs.
+        CC does not).
     options:
-        Default keyword options forwarded to both callables (e.g. the
+        Default keyword options forwarded to both paths (e.g. the
         ``k`` of k-core); call-site options override them.
     """
 
@@ -104,10 +108,14 @@ class Workload:
         source: Optional[int] = None,
         **options: Any,
     ) -> EngineRun:
-        """Run the external-memory kernel on an existing engine."""
+        """Run the kernel on an existing engine."""
         if source is None:
             source = _default_source(engine.graph)
-        return self.kernel(engine, source, **self._merged(options))
+        args = (source,) if self.needs_source else ()
+        values = self.kernel(engine, *args, **self._merged(options))
+        if isinstance(values, tuple):
+            values = values[0]
+        return EngineRun(values=values, steps=engine.steps, stats=engine.backend.stats)
 
     def trace(
         self,
@@ -115,7 +123,7 @@ class Workload:
         source: Optional[int] = None,
         **options: Any,
     ) -> AccessTrace:
-        """Run the in-memory algorithm and return its access trace."""
+        """Run the kernel in memory and return its access trace."""
         graph = self.prepare(graph)
         if source is None:
             source = _default_source(graph)

@@ -86,6 +86,12 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match="'sclae'"):
             ExperimentSpec().with_overrides({"graph.sclae": 14})
 
+    @pytest.mark.parametrize("field", ["duration_s", "base_rate", "slo_p99_us"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_traffic_rejects_non_finite_and_non_positive(self, field, value):
+        with pytest.raises(SpecError, match=rf"traffic\.{field}"):
+            ExperimentSpec().with_overrides({f"traffic.{field}": value})
+
     def test_override_through_scalar_raises(self):
         with pytest.raises(SpecError, match="non-mapping"):
             ExperimentSpec().with_overrides({"algorithm.x": 1})

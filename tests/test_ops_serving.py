@@ -78,6 +78,11 @@ class TestTrafficModel:
             TrafficModel(diurnal_amplitude=1.5)
         with pytest.raises(ConfigError):
             TrafficModel(mix={})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="query mix"):
+                TrafficModel(mix={"bfs": bad})
+            with pytest.raises(ConfigError, match="tenant weights"):
+                TrafficModel(tenants={"a": bad})
         with pytest.raises(ConfigError):
             BurstEpisode(start=0.0, duration=0.0, multiplier=2.0)
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import workloads
 from repro.engine.backend import DirectBackend, MemoryStats
 from repro.engine.engine import ExternalGraphEngine
 from repro.errors import TelemetryError
@@ -161,7 +162,7 @@ class TestNullTracer:
         engine = ExternalGraphEngine(
             urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
-        engine.bfs(0)
+        workloads.get("bfs").run(engine, source=0)
         assert len(NULL_TRACER.records) == baseline == 0
 
 
@@ -270,7 +271,7 @@ class TestMemoryStatsRegistry:
         engine = ExternalGraphEngine(
             tiny_graph, lambda data: DirectBackend(data, alignment_bytes=16)
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         registry = run.stats.registry
         assert registry.counter("memory.requests").value == run.stats.requests
         assert (
@@ -452,7 +453,7 @@ class TestInstrumentation:
             urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
         with use_tracer(tracer):
-            run = engine.bfs(0)
+            run = workloads.get("bfs").run(engine, source=0)
         steps = tracer.spans("engine.step")
         assert len(steps) == run.steps
         assert sum(s.attrs["bytes_read"] for s in steps) == run.stats.fetched_bytes
@@ -468,10 +469,19 @@ class TestInstrumentation:
             weighted_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
         with use_tracer(tracer):
-            engine.sssp(0)
-            engine.connected_components()
+            workloads.get("sssp").run(engine, source=0)
+            workloads.get("cc").run(engine)
         assert tracer.spans("engine.sssp")
         assert tracer.spans("engine.cc")
+
+    def test_in_memory_traces_emit_no_engine_spans(self, urand_small):
+        # The in-memory edge source runs the same kernels as the engine,
+        # but its run and step scopes record nothing.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for name in workloads.available():
+                workloads.get(name).trace(urand_small)
+        assert not [r for r in tracer.records if r.name.startswith("engine.")]
 
     def test_des_emits_queue_depth_samples_on_sim_time(self):
         config = DESConfig(
@@ -525,7 +535,7 @@ class TestInstrumentation:
             ),
         )
         with use_tracer(tracer):
-            run = engine.bfs(0)
+            run = workloads.get("bfs").run(engine, source=0)
         retries = tracer.events("fault.retry")
         assert retries
         assert sum(e.attrs["requests"] for e in retries) == run.stats.retries

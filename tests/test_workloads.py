@@ -1,8 +1,7 @@
 """The workload registry: kernels, memory modes, streaming, tenancy.
 
-Pins the PR-10 surface: ``repro.workloads`` as the single dispatch
-point (typed errors, deprecation shims over the old engine entry
-points), the semi-/fully-external engine memory modes, incremental
+Pins ``repro.workloads`` as the single dispatch point (typed errors),
+the semi-/fully-external engine memory modes, incremental
 streaming maintenance equivalence, multi-tenant determinism, the
 ``workload:`` spec section, tenant-tagged traffic, and the bench gate's
 missing-baseline behaviour.
@@ -11,7 +10,6 @@ missing-baseline behaviour.
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -170,27 +168,6 @@ class TestKernelGolden:
         assert g.is_weighted
         run = wl.run(make_engine(g), source=0)
         assert np.isfinite(run.values[0])
-
-
-class TestDeprecationShims:
-    def test_engine_bfs_warns_and_matches_registry(self, urand_small):
-        engine = make_engine(urand_small)
-        with pytest.warns(DeprecationWarning, match="workloads.get"):
-            legacy = engine.bfs(0)
-        fresh = workloads.get("bfs").run(make_engine(urand_small), source=0)
-        np.testing.assert_array_equal(legacy.values, fresh.values)
-
-    def test_engine_sssp_warns(self, weighted_small):
-        with pytest.warns(DeprecationWarning):
-            run = make_engine(weighted_small).sssp(0)
-        assert np.isfinite(run.values[0])
-
-    def test_engine_cc_warns(self, urand_small):
-        with pytest.warns(DeprecationWarning):
-            run = make_engine(urand_small).connected_components()
-        np.testing.assert_array_equal(
-            run.values, connected_components(urand_small).labels
-        )
 
 
 class TestMemoryModes:
@@ -499,12 +476,18 @@ class TestCli:
         assert "tenant fairness" in out
 
     def test_serve_bad_tenant_mix(self, capsys):
-        code, _, err = self.run_cli(
-            capsys, "serve", "--duration", "0.3",
-            "--tenant-mix", "analytics",
-        )
-        assert code == 1
-        assert "tenant-mix" in err
+        for mix, message in (
+            ("analytics", "tenant-mix"),
+            ("a=nan", "tenant weights must be finite"),
+            ("a=inf", "tenant weights must be finite"),
+        ):
+            code, _, err = self.run_cli(
+                capsys, "serve", "--duration", "0.3",
+                "--tenant-mix", mix,
+            )
+            assert code == 1
+            assert message in err
+            assert "Traceback" not in err
 
     def test_bench_check_missing_baseline(self, capsys, tmp_path):
         from repro.bench import canonical_json, run_family
