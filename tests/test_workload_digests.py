@@ -9,7 +9,7 @@ bodies, the engine or the backends must leave all of them unchanged.
 The test also checks that the two paths agree: in semi-external mode the
 engine runs as many steps as the trace has, and it reads the same useful
 bytes -- twice as many for sssp, whose engine records interleave an 8 B
-weight with each 8 B target ID -- and that workload options reach both.
+weight with each 8 B target ID.
 """
 
 from __future__ import annotations
@@ -219,14 +219,3 @@ def test_trace_geometry_is_pinned(graph, name):
     label, graph = graph
     trace = workloads.get(name).trace(graph)
     assert trace_digest(trace) == TRACE_DIGESTS[(label, name)]
-
-
-@pytest.mark.parametrize(
-    "name,options", [("pagerank", {"damping": 0.5}), ("triangle_count", {"batch": 64})]
-)
-def test_options_reach_both_paths(graph, name, options):
-    _, graph = graph
-    workload = workloads.get(name)
-    trace = workload.trace(graph, **options)
-    run = workload.run(ExternalGraphEngine(graph, ZeroCopyBackend), **options)
-    assert run.steps == trace.num_steps != workload.trace(graph).num_steps

@@ -169,6 +169,16 @@ class TestKernelGolden:
         run = wl.run(make_engine(g), source=0)
         assert np.isfinite(run.values[0])
 
+    @pytest.mark.parametrize(
+        "name,options",
+        [("pagerank", {"damping": 0.5}), ("triangle_count", {"batch": 64})],
+    )
+    def test_options_reach_both_paths(self, urand_small, name, options):
+        wl = workloads.get(name)
+        trace = wl.trace(urand_small, **options)
+        run = wl.run(make_engine(urand_small), **options)
+        assert run.steps == trace.num_steps != wl.trace(urand_small).num_steps
+
 
 class TestMemoryModes:
     def test_unknown_mode_rejected(self, urand_small):
