@@ -39,7 +39,6 @@ Families
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -51,8 +50,9 @@ from ..core.experiment import default_source, run_algorithm
 from ..core.suite import run_evaluation
 from ..core.sweep import alignment_grid, cxl_latency_grid, sweep_trace
 from ..errors import BenchError
-from ..graph.datasets import CSRGraph, load_dataset
+from ..graph.datasets import CSRGraph
 from ..exec.executor import ProcessPoolExecutor
+from ..exec.tasks import cached_dataset
 from ..interconnect.pcie import PCIeLink
 from ..planner import build_surface, default_grid, plan_query
 from ..memsim.cache import IdealCache, LRUCache
@@ -94,12 +94,6 @@ class Prepared:
     run: Callable[[], Mapping[str, Any]] = field(repr=False)
     work_unit: str | None = None
     work_amount: float | None = None
-
-
-@lru_cache(maxsize=4)
-def _dataset(name: str, scale: int, seed: int) -> CSRGraph:
-    """Memoized dataset load: scenario setup shares graphs within a run."""
-    return load_dataset(name, scale=scale, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def _prep_des_trace(quick: bool) -> Prepared:
 
 
 def _traversal_graph(quick: bool) -> CSRGraph:
-    return _dataset("urand", 14 if quick else 17, 1)
+    return cached_dataset("urand", 14 if quick else 17, 1)
 
 
 def _prep_bfs(quick: bool) -> Prepared:
@@ -290,7 +284,7 @@ def graph_scale(graph) -> int:
 
 
 def _memsim_trace(quick: bool) -> AccessTrace:
-    graph = _dataset("urand", 13 if quick else 16, 1)
+    graph = cached_dataset("urand", 13 if quick else 16, 1)
     return run_algorithm(graph, "bfs")
 
 
@@ -402,7 +396,7 @@ def _prep_evaluation_matrix(quick: bool) -> Prepared:
 
 
 def _prep_trajectory_sweeps(quick: bool) -> Prepared:
-    graph = _dataset("urand", 12 if quick else 14, 0)
+    graph = cached_dataset("urand", 12 if quick else 14, 0)
     trace = run_algorithm(graph, "bfs")
 
     def run() -> dict[str, Any]:
@@ -545,7 +539,7 @@ def _prep_semi_vs_fully(quick: bool) -> Prepared:
     """
     from .. import systems, workloads
 
-    graph = _dataset("urand", 10 if quick else 12, 3)
+    graph = cached_dataset("urand", 10 if quick else 12, 3)
     workload = workloads.get("bfs")
     system = systems.get("emogi")
     source = default_source(graph)
@@ -582,7 +576,7 @@ def _prep_streaming_bfs(quick: bool) -> Prepared:
     """Incremental BFS maintenance over a seeded edge-insertion stream."""
     from ..workloads import edge_stream, streaming_bfs, streaming_write_traffic
 
-    graph = _dataset("urand", 10 if quick else 12, 3)
+    graph = cached_dataset("urand", 10 if quick else 12, 3)
     stream = edge_stream(
         graph.num_vertices,
         num_batches=4,
@@ -619,7 +613,7 @@ def _prep_multi_tenant(quick: bool) -> Prepared:
     """Two tenants co-running on one shared DES pool."""
     from ..workloads import TenantSpec, run_multi_tenant
 
-    graph = _dataset("urand", 9 if quick else 11, 3)
+    graph = cached_dataset("urand", 9 if quick else 11, 3)
     tenants = [
         TenantSpec(name="analytics", workload="pagerank", weight=1.0),
         TenantSpec(name="search", workload="bfs", weight=2.0),

@@ -1,12 +1,12 @@
-"""Config-hash-keyed memoization of per-(trace, method) model evaluations.
+"""One bounded memo for every repeated model evaluation in the process.
 
 The expensive half of :func:`repro.core.runtime_model.predict_runtime` is
 ``method.physical_trace(trace)`` — turning a logical access trace into
 physical requests.  Sweeps and the evaluation suite price the *same*
 trace through the *same* access method many times (EMOGI appears once
 per normalisation baseline; the CXL latency sweep varies only the
-latency, never the method), so this module keeps a small process-wide
-cache keyed by two content fingerprints:
+latency, never the method), so this module keys that work by two
+content fingerprints:
 
 * **trace fingerprint** — SHA-256 over every step's arrays, computed
   lazily and stamped on the trace instance together with the step count
@@ -16,10 +16,13 @@ cache keyed by two content fingerprints:
   ``AccessMethod`` configurations share an entry even when they are
   distinct objects.
 
-The cache is bounded (FIFO eviction) and can be cleared with
-:func:`clear_evaluation_cache` — the benchmark harness does so at the
-start of every timed repeat so memoization only gets credit for
-*within-run* duplicate pricing, never for state left by a warmup.
+:class:`Memo` is the one memo implementation: a bounded FIFO with hit
+and miss counters.  The physical-trace cache here, the RAF memo in
+:mod:`repro.memsim.raf` and the graph / trace memos in
+:mod:`repro.exec.tasks` are all instances, and every instance is
+flushed by :func:`clear_evaluation_cache` — the benchmark harness does
+so at the start of every timed repeat so memoization only gets credit
+for *within-run* duplicate work, never for state left by a warmup.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any
+from typing import Any, Callable, Generic, Hashable, TypeVar
 
 import numpy as np
 
@@ -37,32 +40,62 @@ __all__ = [
     "config_fingerprint",
     "trace_fingerprint",
     "cached_physical_trace",
-    "register_cache",
+    "Memo",
     "clear_evaluation_cache",
     "evaluation_cache_stats",
 ]
 
-#: Bounded cache size; sweeps touch a handful of (trace, method) pairs, so
-#: this is generous while still capping memory for long-lived processes.
-_CACHE_CAPACITY = 256
+V = TypeVar("V")
 
-_cache: dict[tuple[str, str], Any] = {}
-_stats = {"hits": 0, "misses": 0}
-
-#: Memo dicts of other modules (e.g. the RAF memo in repro.memsim.raf)
-#: that clear_evaluation_cache must also flush.
-_registered_caches: list[dict] = []
+#: Every Memo ever built; clear_evaluation_cache flushes them all.
+_memos: list["Memo[Any]"] = []
 
 
-def register_cache(mapping: dict) -> None:
-    """Register another module's memo dict for coordinated clearing.
+class Memo(Generic[V]):
+    """Bounded FIFO memo with hit / miss counters.
 
-    Registering the same dict twice is a no-op; the benchmark harness and
-    tests rely on :func:`clear_evaluation_cache` flushing *every* model
-    memo in the process, not just this module's.
+    A ``None`` key means "not fingerprintable": the value is computed
+    without caching and the counters stay put.  Each instance registers
+    itself on construction, so :func:`clear_evaluation_cache` empties
+    every memo in the process.
     """
-    if not any(existing is mapping for existing in _registered_caches):
-        _registered_caches.append(mapping)
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ModelError(f"memo capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._entries: dict[Hashable, V] = {}
+        self.hits = 0
+        self.misses = 0
+        _memos.append(self)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get_or_compute(self, key: Hashable | None, compute: Callable[[], V]) -> V:
+        """The value stored under ``key``, computing and storing it on a miss."""
+        if key is None:
+            return compute()
+        if key in self._entries:
+            self.hits += 1
+            return self._entries[key]
+        self.misses += 1
+        value = compute()
+        if len(self._entries) >= self.capacity:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = value
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+#: Physical traces by (trace, method) fingerprint; sweeps touch a handful
+#: of pairs, so 256 is generous while capping long-lived processes.
+_physical: Memo[Any] = Memo(256)
 
 
 def _update_hash(h: "hashlib._Hash", obj: Any) -> None:
@@ -127,7 +160,9 @@ def trace_fingerprint(trace: Any) -> str:
     over — ``AccessTrace.append`` grows the trace, which invalidates the
     stamp and forces a recompute.  O(bytes) the first time, O(1) after.
     """
-    stamped = getattr(trace, "_evalcache_fingerprint", None)
+    stamped: tuple[int, str] | None = getattr(
+        trace, "_evalcache_fingerprint", None
+    )
     num_steps = trace.num_steps
     if stamped is not None and stamped[0] == num_steps:
         return stamped[1]
@@ -144,7 +179,7 @@ def trace_fingerprint(trace: Any) -> str:
 
 
 def cached_physical_trace(method: Any, trace: Any) -> Any:
-    """``method.physical_trace(trace)`` through the process-wide cache.
+    """``method.physical_trace(trace)`` through the process-wide memo.
 
     The key is (trace content, method configuration); the cached value is
     the :class:`~repro.gpu.base.PhysicalTrace`, which callers treat as
@@ -152,37 +187,25 @@ def cached_physical_trace(method: Any, trace: Any) -> Any:
     fingerprintable (e.g. an ad-hoc test double that is not a dataclass).
     """
     try:
-        key = (trace_fingerprint(trace), config_fingerprint(method))
+        key: tuple[str, str] | None = (
+            trace_fingerprint(trace),
+            config_fingerprint(method),
+        )
     except ModelError:
-        return method.physical_trace(trace)
-    hit = _cache.get(key)
-    if hit is not None:
-        _stats["hits"] += 1
-        return hit
-    _stats["misses"] += 1
-    physical = method.physical_trace(trace)
-    if len(_cache) >= _CACHE_CAPACITY:
-        _cache.pop(next(iter(_cache)))
-    _cache[key] = physical
-    return physical
+        key = None
+    return _physical.get_or_compute(key, lambda: method.physical_trace(trace))
 
 
 def clear_evaluation_cache() -> None:
-    """Drop all cached model evaluations and zero the hit/miss counters.
-
-    Also flushes every memo registered via :func:`register_cache`.
-    """
-    _cache.clear()
-    _stats["hits"] = 0
-    _stats["misses"] = 0
-    for mapping in _registered_caches:
-        mapping.clear()
+    """Empty every :class:`Memo` in the process and zero its counters."""
+    for memo in _memos:
+        memo.clear()
 
 
 def evaluation_cache_stats() -> dict[str, int]:
-    """Current cache statistics: ``hits``, ``misses``, ``entries``."""
+    """Physical-trace memo statistics: ``hits``, ``misses``, ``entries``."""
     return {
-        "hits": _stats["hits"],
-        "misses": _stats["misses"],
-        "entries": len(_cache),
+        "hits": _physical.hits,
+        "misses": _physical.misses,
+        "entries": len(_physical),
     }

@@ -10,8 +10,9 @@
 * :func:`load_spec` reads specs from YAML with ``extend:`` chaining and
   dotted-key overrides.
 * :class:`SerialExecutor` / :class:`ProcessPoolExecutor` run pure
-  sweep tasks with bit-identical results regardless of executor, with
-  optional parent-side result memoization (:class:`TaskMemo`).
+  sweep tasks with bit-identical results regardless of executor.
+  Repeated work is memoized below the executor, per process, by
+  :class:`repro.core.evalcache.Memo` instances.
 
 Submodules defer their :mod:`repro.core` imports to call time, so this
 package imports before (and is imported by) ``repro.core.sweep``.
@@ -23,7 +24,6 @@ from .executor import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    TaskMemo,
     default_chunk_size,
     make_executor,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "TaskMemo",
     "default_chunk_size",
     "make_executor",
 ]

@@ -7,7 +7,7 @@ and traffic sections — and every consumer (sweeps, the evaluation
 suite, bench scenarios, the capacity planner) takes it as *the* input
 type.  Because a spec is plain data it round-trips through
 ``to_dict``/``from_dict`` (canonical JSON), pickles across process
-boundaries, and fingerprints canonically for result memoization.
+boundaries, and has a canonical content fingerprint.
 
 ``from_dict`` is strict: unknown keys raise a typed
 :class:`~repro.errors.SpecError` listing the valid fields, because

@@ -7,11 +7,13 @@ these functions can, which is how callers bind a shared
 :class:`~repro.traversal.trace.AccessTrace` without re-pickling it per
 point (the partial ships once per chunk).
 
-Workers rebuild graphs and traces deterministically from
-``(dataset, scale, seed, algorithm, source)`` through a small
-per-process memo, so a chunk of sweep points over one workload pays the
-traversal once — the worker-side analogue of the parent passing a
-shared trace.  All heavy imports (:mod:`repro.core`, :mod:`repro.systems`)
+Workers rebuild graphs and traces deterministically through two small
+per-process :class:`~repro.core.evalcache.Memo` instances: graphs keyed
+by ``(dataset, scale, seed)`` and traces by that plus
+``(algorithm, source)``.  Every algorithm on a dataset shares one graph
+build, and a chunk of sweep points over one workload pays the traversal
+once — the worker-side analogue of the parent passing a shared trace.
+All heavy imports (:mod:`repro.core.experiment`, :mod:`repro.systems`)
 stay inside function bodies: this module is imported by
 ``repro.core.sweep`` during package init, and a top-level back-import
 would cycle.
@@ -26,18 +28,30 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from ..core.evalcache import Memo
+
 __all__ = [
+    "cached_dataset",
     "evaluate_sweep_point",
     "price_trace_point",
     "compare_methods_cell",
     "evaluate_workload",
 ]
 
-#: Per-process workload memo: rebuilt graphs/traces are deterministic in
-#: their key, so sharing them across the points of a chunk is safe.
-_WORKLOAD_MEMO: dict[tuple[Any, ...], Any] = {}
-_WORKLOAD_MEMO_CAPACITY = 8
-_MEMO_REGISTERED = False
+#: Per-process workload memos: rebuilt graphs and traces are
+#: deterministic in their key, so sharing them across tasks is safe.
+_graphs: Memo[Any] = Memo(8)
+_traces: Memo[Any] = Memo(8)
+
+
+def cached_dataset(dataset: str, scale: int, seed: int) -> Any:
+    """``load_dataset(dataset, scale=scale, seed=seed)``, memoized per process."""
+    from ..graph import datasets
+
+    return _graphs.get_or_compute(
+        (dataset, scale, seed),
+        lambda: datasets.load_dataset(dataset, scale=scale, seed=seed),
+    )
 
 
 def _workload_for(
@@ -48,23 +62,13 @@ def _workload_for(
     source: int | None = None,
 ) -> tuple[Any, Any]:
     """``(graph, trace)`` for a workload key, memoized per process."""
-    global _MEMO_REGISTERED
-    if not _MEMO_REGISTERED:
-        from ..core.evalcache import register_cache
-
-        register_cache(_WORKLOAD_MEMO)
-        _MEMO_REGISTERED = True
-    key = (dataset, scale, seed, algorithm, source)
-    if key in _WORKLOAD_MEMO:
-        return _WORKLOAD_MEMO[key]
     from ..core.experiment import run_algorithm
-    from ..graph.datasets import load_dataset
 
-    graph = load_dataset(dataset, scale=scale, seed=seed)
-    trace = run_algorithm(graph, algorithm, source)
-    if len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_CAPACITY:
-        _WORKLOAD_MEMO.pop(next(iter(_WORKLOAD_MEMO)))
-    _WORKLOAD_MEMO[key] = (graph, trace)
+    graph = cached_dataset(dataset, scale, seed)
+    trace = _traces.get_or_compute(
+        (dataset, scale, seed, algorithm, source),
+        lambda: run_algorithm(graph, algorithm, source),
+    )
     return graph, trace
 
 

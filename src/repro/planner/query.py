@@ -95,6 +95,8 @@ def plan_query(
     edge_bytes = _positive_finite(edge_bytes, "edge_bytes")
     if slo_runtime_s is not None:
         slo_runtime_s = _positive_finite(slo_runtime_s, "slo_runtime_s")
+    if top is not None and (isinstance(top, bool) or not isinstance(top, int)):
+        raise PlannerError(f"top must be an integer, got {top!r}")
     if top is not None and top < 1:
         raise PlannerError(f"top must be >= 1, got {top}")
     ref_bytes = float(surface["workload"]["edge_list_bytes"])

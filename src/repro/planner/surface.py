@@ -153,12 +153,11 @@ def build_surface(
     payloads = [
         {"spec": spec_dict, "overrides": o} for o in overrides
     ]
-    keys = [workload.with_overrides(o).fingerprint() for o in overrides]
     executor = executor or SerialExecutor()
     with get_tracer().span(
         "planner.surface.build", configs=len(configs), executor=executor.name
     ):
-        priced = executor.map(evaluate_sweep_point, payloads, keys=keys)
+        priced = executor.map(evaluate_sweep_point, payloads)
     graph = workload.resolve_graph()
     entries: list[dict[str, Any]] = []
     emogi_runtime: dict[str, float] = {}

@@ -16,11 +16,14 @@ Usage::
 
 Factory keyword arguments pass through :func:`get` untouched, so every
 knob of the underlying factory stays reachable
-(``systems.get("cxl", added_latency=2e-6, devices=12)``).
+(``systems.get("cxl", added_latency=2e-6, devices=12)``); an option the
+factory does not take raises :class:`~repro.errors.ModelError` naming
+the accepted ones.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from .core.experiment import (
@@ -33,6 +36,7 @@ from .core.experiment import (
 )
 from .core.runtime_model import SystemModel
 from .errors import ModelError
+from .gpu.uvm import UVM_PAGE_BYTES
 from .interconnect.pcie import PCIeLink
 
 __all__ = ["register", "get", "available", "describe"]
@@ -70,8 +74,8 @@ def get(name: str, link: PCIeLink | None = None, **kwargs: object) -> SystemMode
 
     ``link`` and any keyword arguments forward to the factory (each
     factory picks its own default link generation when ``link`` is None).
-    Unknown names raise :class:`~repro.errors.ModelError` listing the
-    valid choices.
+    Unknown names and options raise :class:`~repro.errors.ModelError`
+    listing the valid choices.
     """
     key = name.lower()
     factory = _REGISTRY.get(key)
@@ -79,6 +83,15 @@ def get(name: str, link: PCIeLink | None = None, **kwargs: object) -> SystemMode
         raise ModelError(
             f"unknown system {name!r}; available: {', '.join(available())}"
         )
+    params = inspect.signature(factory).parameters.values()
+    if not any(p.kind is p.VAR_KEYWORD for p in params):
+        accepted = sorted(p.name for p in params if p.name != "link")
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            raise ModelError(
+                f"system {key!r} does not take option(s) {', '.join(unknown)}; "
+                f"accepted: {', '.join(accepted) or 'none'}"
+            )
     return factory(link=link, **kwargs)
 
 
@@ -91,28 +104,12 @@ def describe() -> str:
     return "\n".join(lines)
 
 
-def _cxl_system(
-    link: PCIeLink | None = None, *, added_latency: float = 0.0, **kwargs: object
-) -> SystemModel:
-    """Registry adapter: :func:`cxl_system` with keyword-only latency."""
-    return cxl_system(added_latency, link, **kwargs)
-
-
-def _flash_cxl_system(
-    link: PCIeLink | None = None,
-    *,
-    added_flash_latency: float = 4.0e-6,
-    **kwargs: object,
-) -> SystemModel:
-    """Registry adapter: :func:`flash_cxl_system` with keyword-only latency."""
-    return flash_cxl_system(added_flash_latency, link, **kwargs)
-
-
 def _uvm_system(
     link: PCIeLink | None = None,
     *,
+    page_bytes: int = UVM_PAGE_BYTES,
     pool_fraction: float | None = None,
-    **kwargs: object,
+    edge_list_bytes: int | None = None,
 ) -> SystemModel:
     """Registry adapter: :func:`uvm_system` with an unbounded page pool.
 
@@ -120,12 +117,17 @@ def _uvm_system(
     by name, ``"uvm"`` gives the cold-fault (unbounded pool) baseline
     unless the caller sizes the pool explicitly.
     """
-    return uvm_system(link, pool_fraction=pool_fraction, **kwargs)
+    return uvm_system(
+        link,
+        page_bytes=page_bytes,
+        pool_fraction=pool_fraction,
+        edge_list_bytes=edge_list_bytes,
+    )
 
 
 register("emogi", emogi_system)
 register("bam", bam_system)
 register("xlfdd", xlfdd_system)
-register("cxl", _cxl_system)
-register("flash-cxl", _flash_cxl_system)
+register("cxl", cxl_system)
+register("flash-cxl", flash_cxl_system)
 register("uvm", _uvm_system)

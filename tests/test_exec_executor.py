@@ -1,9 +1,9 @@
-"""Executors: determinism across transports, memoization, round-trips.
+"""Executors: determinism across transports, round-trips.
 
 The load-bearing property test here pins the repo's central executor
 guarantee: a sweep priced through ``ProcessPoolExecutor(workers=4)`` is
 *byte-identical* (canonical JSON) to the same sweep priced serially,
-and parent-side memo hit counts are executor-independent.
+and a rerun on a warm executor reproduces the first run exactly.
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.exec import (
     SweepConfig,
     SystemSpec,
 )
-from repro.exec.executor import TaskMemo, default_chunk_size, make_executor
+from repro.exec.executor import default_chunk_size, make_executor
 from repro.exec.spec import SweepAxis
 
 
@@ -46,52 +46,17 @@ def _quick_sweep():
     return spec, config
 
 
-class TestTaskMemo:
-    def test_hit_miss_counters(self):
-        memo = TaskMemo()
-        found, _ = memo.get("k")
-        assert not found
-        memo.put("k", 42)
-        found, value = memo.get("k")
-        assert found and value == 42
-        assert memo.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_fifo_eviction_at_capacity(self):
-        memo = TaskMemo(capacity=2)
-        memo.put("a", 1)
-        memo.put("b", 2)
-        memo.put("c", 3)  # evicts "a"
-        assert memo.get("a") == (False, None)
-        assert memo.get("b") == (True, 2)
-        assert memo.get("c") == (True, 3)
-
-    def test_flushed_by_clear_evaluation_cache(self):
-        memo = TaskMemo()
-        memo.put("k", 1)
-        clear_evaluation_cache()
-        assert memo.get("k") == (False, None)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ExecError):
-            TaskMemo(capacity=0)
-
-
 class TestExecutorContract:
     def test_serial_preserves_order(self):
         assert SerialExecutor().map(abs, [-3, 1, -2]) == [3, 1, 2]
 
-    def test_memo_short_circuits_dispatch(self):
-        memo = TaskMemo()
-        ex = SerialExecutor(memo=memo)
-        first = ex.map(abs, [-1, -2], keys=["a", "b"])
-        second = ex.map(abs, [-1, -2], keys=["a", "b"])
-        assert first == second == [1, 2]
-        assert memo.stats()["hits"] == 2
-        assert memo.stats()["misses"] == 2
+    def test_result_count_mismatch(self):
+        class Lossy(SerialExecutor):
+            def _run(self, fn, payloads):
+                return super()._run(fn, payloads)[:-1]
 
-    def test_key_count_mismatch(self):
-        with pytest.raises(ExecError, match="memo keys"):
-            SerialExecutor(memo=TaskMemo()).map(abs, [-1], keys=["a", "b"])
+        with pytest.raises(ExecError, match="1 results for 2 tasks"):
+            Lossy().map(abs, [-1, -2])
 
     def test_make_executor_names(self):
         assert make_executor("serial").name == "serial"
@@ -133,26 +98,20 @@ class TestExecutorEquivalence:
             pooled = run_sweep(spec, config, executor=ex)
         assert canonical_json(serial.as_dict()) == canonical_json(pooled.as_dict())
 
-    def test_memo_hits_identical_across_executors(self):
-        """A reseeded second run hits the memo identically per executor."""
+    def test_rerun_identical_across_executors(self):
+        """A second run on a warm executor reproduces the first exactly."""
         spec, config = _quick_sweep()
-        stats = {}
         renders = {}
         for kind in ("serial", "process"):
             clear_evaluation_cache()
-            memo = TaskMemo()
             workers = 4 if kind == "process" else None
-            with make_executor(kind, workers=workers, memo=memo) as ex:
+            with make_executor(kind, workers=workers) as ex:
                 first = run_sweep(spec, config, executor=ex)
                 second = run_sweep(spec, config, executor=ex)
             assert canonical_json(first.as_dict()) == canonical_json(
                 second.as_dict()
             )
-            stats[kind] = memo.stats()
             renders[kind] = canonical_json(first.as_dict())
-        assert stats["serial"] == stats["process"]
-        assert stats["serial"]["hits"] == config.num_points
-        assert stats["serial"]["misses"] == config.num_points
         assert renders["serial"] == renders["process"]
 
 

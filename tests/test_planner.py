@@ -201,6 +201,8 @@ class TestServeQueries:
             "not json at all",
             json.dumps({"edge_bytes": ref, "bogus": 1}),
             json.dumps({"top": 2}),
+            json.dumps({"edge_bytes": 1e9, "top": "3"}),
+            json.dumps({"edge_bytes": 1e9, "top": 2.5}),
             "",  # blank lines are skipped, not answered
             "quit",
             json.dumps({"edge_bytes": ref}),  # never reached
@@ -209,14 +211,16 @@ class TestServeQueries:
         served = serve_queries(
             quick_surface, io.StringIO("\n".join(lines) + "\n"), out
         )
-        assert served == 4
+        assert served == 6
         answers = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert len(answers) == 4
+        assert len(answers) == 6
         assert answers[0]["count"] == 2
         assert len(answers[0]["results"]) == 2
         assert "malformed JSON" in answers[1]["error"]
         assert "bogus" in answers[2]["error"]
         assert "edge_bytes" in answers[3]["error"]
+        assert "top must be an integer" in answers[4]["error"]
+        assert "top must be an integer" in answers[5]["error"]
 
     def test_responses_are_replayable(self, quick_surface):
         ref = float(quick_surface["workload"]["edge_list_bytes"])

@@ -53,8 +53,12 @@ class TestLookup:
         assert isinstance(systems.get("uvm"), SystemModel)
 
     def test_unknown_kwarg_is_a_typeerror(self):
-        with pytest.raises(TypeError):
+        # A typed ModelError naming the accepted options, checked
+        # against the function that finally receives the keywords.
+        with pytest.raises(ModelError, match="warp_speed.*remote_socket"):
             systems.get("emogi", warp_speed=9)
+        with pytest.raises(ModelError, match="accepted: added_latency, devices"):
+            systems.get("cxl", alignment_bytes=32)
 
 
 class TestRegister:
