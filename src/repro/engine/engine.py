@@ -145,7 +145,7 @@ class ExternalGraphEngine:
             raise TraceError("frontier contains out-of-range vertex IDs")
         starts, lengths = self._sublist_ranges(frontier)
         raw = self.backend.read(starts, lengths)
-        records = np.frombuffer(raw.tobytes(), dtype=np.int64)
+        records = raw.view(np.int64)
         if self._weighted:
             neighbors = records[0::2]
             weights = records[1::2].view(np.float64)

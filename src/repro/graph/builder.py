@@ -50,18 +50,50 @@ def dedupe_edges(
 
     Input order is otherwise not preserved: edges come back sorted by
     ``(src, dst)``, which is the order CSR construction wants anyway.
+
+    The pairs sort as one fused int64 key ``(src - lo) * span + (dst - lo)``
+    (a stable sort when weighted, so the first weight wins), and a
+    two-key ``lexsort`` is left only for ID ranges whose ``span**2``
+    would overflow int64.
     """
     src, dst, weights = _as_edge_arrays(src, dst, weights)
     if src.size == 0:
         return src, dst, weights
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    lo = int(min(src.min(), dst.min()))
+    span = int(max(src.max(), dst.max())) - lo + 1
+    if span * span <= 2**63:
+        key = src - lo  # built in place: one edge-sized array, no temporaries
+        key *= span
+        key += dst
+        key -= lo
+        if weights is None:
+            order = None
+            key.sort()
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+        keep = _run_heads(key)
+        key = key[keep]
+        src = key // span
+        dst = np.remainder(key, span, out=key)
+        src += lo
+        dst += lo
+    else:
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = _run_heads(src) | _run_heads(dst)
+        src, dst = src[keep], dst[keep]
     if weights is not None:
-        weights = weights[order]
-    keep = np.empty(src.size, dtype=bool)
-    keep[0] = True
-    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-    return src[keep], dst[keep], (weights[keep] if weights is not None else None)
+        weights = weights[order][keep]
+    return src, dst, weights
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their predecessor (first is set)."""
+    heads = np.empty(values.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
 
 
 def symmetrize_edges(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..traversal.frontier import ragged_indices
 
 __all__ = [
     "align_down",
@@ -90,15 +91,8 @@ def expand_to_blocks(
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = blocks_per_request(starts, lengths, alignment)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    first_block = starts // alignment
     request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    block_out_start = np.cumsum(counts) - counts
-    rank = np.arange(total, dtype=np.int64) - np.repeat(block_out_start, counts)
-    block_ids = first_block[request_idx] + rank
+    block_ids = ragged_indices(starts // alignment, counts)
     return block_ids, request_idx
 
 
@@ -111,19 +105,14 @@ def split_by_max_transfer(
     cache line).  Zero-length requests are dropped.
     """
     max_transfer = _check_alignment(max_transfer)
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    keep = lengths > 0
-    starts, lengths = starts[keep], lengths[keep]
-    if starts.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    pieces = -(-lengths // max_transfer)
-    total = int(pieces.sum())
+    starts = np.asarray(starts, dtype=np.int64).ravel()
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    if lengths.size and lengths.min() < 0:
+        raise ModelError("request lengths must be non-negative")
+    pieces = -(-lengths // max_transfer)  # zero-length requests get none
     request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), pieces)
-    piece_out_start = np.cumsum(pieces) - pieces
-    rank = np.arange(total, dtype=np.int64) - np.repeat(piece_out_start, pieces)
-    sub_starts = starts[request_idx] + rank * max_transfer
-    remaining = lengths[request_idx] - rank * max_transfer
-    sub_lengths = np.minimum(remaining, max_transfer)
+    # Piece k of each request starts k max transfers into it.
+    offset = ragged_indices(np.zeros_like(starts), pieces) * max_transfer
+    sub_starts = starts[request_idx] + offset
+    sub_lengths = np.minimum(lengths[request_idx] - offset, max_transfer)
     return sub_starts, sub_lengths

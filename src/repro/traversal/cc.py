@@ -51,7 +51,7 @@ def cc_kernel(src: EdgeSource) -> np.ndarray:
                 src.touch_vertex_state(frontier)
                 neighbors, sources, _ = src.read_neighbors(frontier)
                 if neighbors.size:
-                    before = labels[neighbors].copy()
+                    before = labels[neighbors]
                     np.minimum.at(labels, neighbors, labels[sources])
                     # Mask-dedupe the improved set (no per-round sort).
                     changed[neighbors[labels[neighbors] < before]] = True

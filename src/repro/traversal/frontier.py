@@ -60,15 +60,14 @@ def frontier_union(*frontiers: np.ndarray) -> np.ndarray:
 def ragged_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``, in order.
 
-    Position of each output element within its range: ``arange(total)``
-    minus the range's starting output offset, plus the range's start.
+    Each output element is its position in the output, ``arange(total)``,
+    shifted by its range's ``start - out_start`` (the range's start minus
+    its starting output offset): one ``repeat`` of one offset per range.
     """
     out_start = np.cumsum(lengths) - lengths
-    return (
-        np.arange(int(lengths.sum()), dtype=np.int64)
-        - np.repeat(out_start, lengths)
-        + np.repeat(starts, lengths)
-    )
+    shift = np.repeat(np.asarray(starts, dtype=np.int64) - out_start, lengths)
+    shift += np.arange(shift.size, dtype=np.int64)
+    return shift
 
 
 def gather_neighbors(

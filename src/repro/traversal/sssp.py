@@ -81,7 +81,7 @@ def sssp_kernel(src: EdgeSource, source: int = 0) -> np.ndarray:
                 neighbors, sources, weights = src.read_neighbors(frontier)
                 if neighbors.size:
                     candidate = dist[sources] + weights
-                    before = dist[neighbors].copy()
+                    before = dist[neighbors]
                     np.minimum.at(dist, neighbors, candidate)
                     # Mask-dedupe the improved set: O(E_f + n) against
                     # the O(E_f log E_f) sort np.unique would pay.
@@ -138,7 +138,7 @@ def sssp_delta_stepping(
         if neighbors.size == 0:
             return np.empty(0, dtype=np.int64)
         candidate = dist[sources] + w
-        before = dist[neighbors].copy()
+        before = dist[neighbors]
         np.minimum.at(dist, neighbors, candidate)
         changed[neighbors[dist[neighbors] < before]] = True
         improved = np.flatnonzero(changed)

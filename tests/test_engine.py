@@ -6,6 +6,8 @@ written layers (in-memory algorithms, analytic traffic models, and the
 functional engine) must agree exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,23 @@ class TestBackendValidation:
         # Fetched is aligned: [0,16) and [32,48) -> 32 bytes.
         assert backend.stats.fetched_bytes == 32
         assert backend.stats.useful_bytes == 6
+
+    def test_aligned_gather_peak_memory_is_bounded(self):
+        # 131,072 reads of 56 B on 64 B boundaries return 7 MiB.  The
+        # gather indexes 8 B words, so its peak stays a small multiple of
+        # the returned bytes (a per-byte index alone would be 8x them).
+        count, stride, length = 131_072, 64, 56
+        backend = DirectBackend(bytes(count * stride), alignment_bytes=16)
+        starts = np.arange(count, dtype=np.int64) * stride
+        lengths = np.full(count, length, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            out = backend.read(starts, lengths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == count * length == 7 * 2**20
+        assert peak < 4 * out.nbytes
 
     def test_config_validation(self):
         with pytest.raises(DeviceError):

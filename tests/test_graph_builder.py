@@ -33,7 +33,7 @@ class TestDedupe:
     def test_keeps_first_weight(self):
         src = np.array([0, 0])
         dst = np.array([1, 1])
-        # After the lexsort the first occurrence in sorted order wins; both
+        # After the stable sort the first occurrence in sorted order wins; both
         # entries have the same key so stability keeps input order.
         _, _, w = dedupe_edges(src, dst, np.array([5.0, 9.0]))
         assert w.tolist() == [5.0]
@@ -41,6 +41,58 @@ class TestDedupe:
     def test_empty_input(self):
         src, dst, w = dedupe_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert src.size == 0 and dst.size == 0 and w is None
+
+    @staticmethod
+    def _lexsort_reference(src, dst, weights):
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = np.ones(src.size, dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        return src[keep], dst[keep], (weights[order][keep] if weights is not None else None)
+
+    def _assert_matches_reference(self, src, dst, weights=None):
+        got = dedupe_edges(src, dst, weights)
+        want = self._lexsort_reference(src, dst, weights)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_lexsort_reference(self, weighted):
+        rng = np.random.default_rng(7)
+        src = rng.integers(0, 40, 2_000)
+        dst = rng.integers(0, 40, 2_000)
+        weights = rng.random(2_000) if weighted else None
+        self._assert_matches_reference(src, dst, weights)
+
+    def test_duplicates_with_differing_weights_keep_first(self):
+        src = np.array([3, 1, 3, 1, 3, 2])
+        dst = np.array([0, 2, 0, 2, 0, 2])
+        weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        _, _, w = dedupe_edges(src, dst, weights)
+        assert w.tolist() == [2.0, 6.0, 1.0]
+        self._assert_matches_reference(src, dst, weights)
+
+    def test_negative_ids(self):
+        rng = np.random.default_rng(11)
+        src = rng.integers(-50, 10, 1_000)
+        dst = rng.integers(-5, 50, 1_000)
+        self._assert_matches_reference(src, dst)
+        self._assert_matches_reference(src, dst, rng.random(1_000))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_span_overflowing_fused_key(self, weighted):
+        # span = 2**62 + 1, so span**2 does not fit in int64.
+        src = np.array([2**62, -1, 2**62, 0, -1, 2**62], dtype=np.int64)
+        dst = np.array([-1, 5, -1, 2**62, 5, 0], dtype=np.int64)
+        weights = np.arange(6, dtype=np.float64) if weighted else None
+        got_src, got_dst, _ = dedupe_edges(src, dst, weights)
+        assert list(zip(got_src.tolist(), got_dst.tolist())) == [
+            (-1, 5), (0, 2**62), (2**62, -1), (2**62, 0)
+        ]
+        self._assert_matches_reference(src, dst, weights)
 
 
 class TestSymmetrize:

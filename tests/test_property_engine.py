@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import workloads
 from repro.engine import CachedBackend, DirectBackend, ExternalGraphEngine, ZeroCopyBackend
+from repro.faults import FaultPlan, FaultyBackend
 from repro.graph.builder import build_csr
 from repro.traversal.bfs import bfs_reference
 from repro.traversal.sssp import sssp_reference
@@ -70,3 +71,47 @@ def test_engine_sssp_matches_dijkstra(graph, weight_seed):
     )
     run = workloads.get("sssp").run(engine, source=0)
     assert np.allclose(run.values, sssp_reference(weighted, 0))
+
+
+byte_backends = st.sampled_from(
+    [
+        lambda d: DirectBackend(d, alignment_bytes=16),
+        lambda d: CachedBackend(d, cacheline_bytes=64),
+        lambda d: ZeroCopyBackend(d),
+        lambda d: FaultyBackend(
+            DirectBackend(d, alignment_bytes=16),
+            FaultPlan(seed=5, read_error_rate=0.2),
+        ),
+    ]
+)
+
+
+@st.composite
+def stores_and_reads(draw):
+    """A byte store and a batch of in-range ``(start, length)`` reads.
+
+    The store size, the starts and the lengths are multiples of
+    independently drawn granules (1, 2, 4 or 8 B): all-8 draws give fully
+    8 B-aligned batches, mixed draws give odd offsets beside 8 B lengths.
+    """
+    granules = st.sampled_from([1, 2, 4, 8])
+    size_unit, start_unit, length_unit = draw(granules), draw(granules), draw(granules)
+    size = size_unit * draw(st.integers(1, 64))
+    data = draw(st.binary(min_size=size, max_size=size))
+    ranges = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = start_unit * draw(st.integers(0, size // start_unit))
+        length = length_unit * draw(st.integers(0, (size - start) // length_unit))
+        ranges.append((start, length))
+    return data, ranges
+
+
+@given(stores_and_reads(), byte_backends)
+@settings(max_examples=200, deadline=None)
+def test_backend_read_returns_requested_bytes(store, factory):
+    data, ranges = store
+    starts = np.array([s for s, _ in ranges], dtype=np.int64)
+    lengths = np.array([n for _, n in ranges], dtype=np.int64)
+    out = factory(data).read(starts, lengths)
+    assert out.dtype == np.uint8
+    assert out.tobytes() == b"".join(data[s:s + n] for s, n in ranges)
