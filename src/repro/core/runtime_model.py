@@ -156,12 +156,17 @@ def predict_runtime_des(
 
     ``max_requests_per_step`` subsamples huge steps — the simulated time
     is scaled back up linearly, exact in the rate-bound regimes that
-    dominate large steps.  Returns the total runtime in seconds.
+    dominate large steps; a cap below 1 raises :class:`ModelError`.
+    Returns the total runtime in seconds.
     """
     import numpy as np
 
     from ..sim.des import DESConfig, simulate_step
 
+    if max_requests_per_step is not None and not max_requests_per_step >= 1:
+        raise ModelError(
+            f"max_requests_per_step must be >= 1, got {max_requests_per_step}"
+        )
     system.pool.check_fits(trace.edge_list_bytes)
     physical = cached_physical_trace(system.method, trace)
     params = system.fluid_params()

@@ -12,22 +12,32 @@ small tolerance — property-tested) and to run serialized microbenchmarks
 like Appendix B's pointer chase where a fluid model has nothing to say.
 
 Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
-per-request state travels as event arguments — one shared callback per
-stage for the whole step, no closure allocation per request — and the
-three FIFO stages between the device-tag grant and the shared link
-(IOPS admission, internal media channel, fixed access latency) are
-*fused*: their completion times are booked analytically with
-:meth:`repro.sim.resources.FifoServer.book` and one event is scheduled
-at the link-entry time, replacing three chained heap events.  A request
-therefore costs O(log n) for ~2 heap events rather than ~5, with float
-arithmetic identical to the chained version (FIFO completion times are
-computable at submission, and per-device admission times strictly
-increase, so booking order equals event order).
+:func:`simulate_step` is one flat event loop over plain data.  Permits
+(warps, link tags, per-device tags) are ints with FIFO deques of waiting
+request indices; timed events are ``(time, seq, kind, i)`` tuples in one
+heap; a freed permit passes to its oldest waiter through a FIFO of
+zero-delay handoffs, merged with the heap by ``(time, seq)`` — the order
+:class:`repro.sim.events.Simulator` would run them in.  The three FIFO
+stages between the device-tag grant and the shared link (IOPS admission,
+internal media channel, fixed access latency) are booked analytically at
+the grant, so each request costs two heap events plus its handoffs, with
+no method call on the way.  The float expressions are those of the
+chained-event version: FIFO completion times are computable at
+submission, and per-device admission times strictly increase, so booking
+order equals event order.  :func:`simulate_step_faulty` keeps the
+chained events on :mod:`repro.sim.resources`, which is what lets it
+inject faults between stages; with no faults it is an independent check
+of the flat loop (property-tested bit for bit).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+import sys
+from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +56,11 @@ __all__ = [
     "simulate_step_faulty",
     "simulate_trace",
 ]
+
+# Event kinds of :func:`simulate_step`: permit handoffs (run from the
+# ready queue) and timed events (run from the heap).
+_GOT_WARP, _GOT_LINK_TAG, _GOT_DEVICE_TAG = 0, 1, 2
+_AT_LINK, _FINISH = 0, 1
 
 
 @dataclass(frozen=True)
@@ -68,15 +83,22 @@ class DESConfig:
     step_overhead: float = KERNEL_STEP_OVERHEAD
 
     def __post_init__(self) -> None:
-        if (
-            self.link_bandwidth <= 0
-            or self.latency <= 0
-            or self.device_iops <= 0
-            or self.device_internal_bandwidth <= 0
+        # Written as ``not x > 0`` so NaN fails too.
+        if not (
+            self.link_bandwidth > 0
+            and self.latency > 0
+            and self.device_iops > 0
+            and self.device_internal_bandwidth > 0
         ):
             raise SimulationError("bandwidths, IOPS and latency must be positive")
+        if not (math.isfinite(self.step_overhead) and self.step_overhead >= 0):
+            raise SimulationError("step_overhead must be finite and >= 0")
         if self.num_devices < 1 or self.gpu_concurrency < 1:
             raise SimulationError("num_devices and gpu_concurrency must be >= 1")
+        for name in ("link_outstanding", "device_outstanding"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 1:
+                raise SimulationError(f"{name} must be None or >= 1")
 
     @classmethod
     def from_fluid(cls, params: FluidParams, num_devices: int = 1) -> "DESConfig":
@@ -157,86 +179,146 @@ def simulate_step(
         if devices.min() < 0 or devices.max() >= config.num_devices:
             raise SimulationError("device index out of range")
 
-    sim = Simulator()
-    warps = Semaphore(sim, config.gpu_concurrency, "warps")
-    link_tags = Semaphore(sim, config.link_outstanding, "link-tags")
-    device_tags = [
-        Semaphore(sim, config.device_outstanding, f"dev{i}-tags")
-        for i in range(config.num_devices)
-    ]
-    device_ops = [
-        RateServer(sim, config.device_iops, f"dev{i}-ops")
-        for i in range(config.num_devices)
-    ]
-    device_bw = [
-        FifoServer(sim, f"dev{i}-bw") for i in range(config.num_devices)
-    ]
-    link = FifoServer(sim, "link-data")
-    completion = np.zeros(n, dtype=np.float64)
+    num_devices = config.num_devices
+    devices_list = devices.tolist()
+    # Service times, vectorised: float64 division is correctly rounded, so
+    # each entry equals the scalar ``size / bandwidth`` bit for bit.
+    media_time = (sizes / config.device_internal_bandwidth).tolist()
+    link_time = (sizes / config.link_bandwidth).tolist()
+    op_time = 1.0 / config.device_iops
+    latency = config.latency
+    # Permits are plain ints with FIFO deques of waiting request indices;
+    # an unlimited pool becomes ``n``, which no step of ``n`` requests can
+    # exhaust.  Warps are only ever acquired up front, so their waiters
+    # are exactly requests ``warps .. n-1`` in order: a cursor suffices.
+    warps = min(n, config.gpu_concurrency)
+    next_warp = warps
+    link_cap = n if config.link_outstanding is None else config.link_outstanding
+    link_used = 0
+    max_link = 0
+    link_wait: deque[int] = deque()
+    dev_cap = n if config.device_outstanding is None else config.device_outstanding
+    dev_used = [0] * num_devices
+    dev_wait: list[deque[int]] = [deque() for _ in range(num_devices)]
+    ops_free = [0.0] * num_devices  # IOPS admission server, per device
+    media_free = [0.0] * num_devices  # internal media channel, per device
+    link_free = 0.0
+    link_busy = 0.0
+    completion = [0.0] * n
+
+    # Future events, ``(time, seq, kind, i)``: ``seq`` breaks time ties in
+    # scheduling order.  Permit handoffs happen at the current time, so
+    # they queue FIFO in ``ready`` as ``(seq, kind, i)`` and the loop runs
+    # whichever of the two heads is earlier by ``(time, seq)``.  The
+    # warp-holding requests enter ``ready`` with seq 0 — ahead of every
+    # event — and are not counted: they start before the clock runs.
+    heap: list[tuple[float, int, int, int]] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    ready: deque[tuple[int, int, int]] = deque(
+        (0, _GOT_WARP, i) for i in range(warps)
+    )
+    popleft = ready.popleft
+    handoff = ready.append
+    seq = 0
+    now = 0.0
+    processed = -warps
+    limit = sys.maxsize if max_events is None else max_events
+
     tracer = get_tracer()
     traced = tracer.enabled
     # Sim-time view: queue-depth samples land on the virtual timeline.
-    sim_tracer = tracer.with_clock(SimClock(sim)) if traced else tracer
+    clock = SimpleNamespace(now=0.0)
+    sim_tracer = tracer.with_clock(SimClock(clock)) if traced else tracer
+    depth_names = [f"des.dev{d}.queue_depth" for d in range(num_devices)]
 
-    def sample_depth(dev: int) -> None:
-        sim_tracer.counter_sample(
-            f"des.dev{dev}.queue_depth", device_tags[dev].depth
-        )
-
-    # Fast path: all callbacks are shared per step and carry the request
-    # index/device as event args (no per-request closures), and the three
-    # FIFO stages between the device-tag grant and the link — admission at
-    # the op rate, the internal media channel, the fixed access latency —
-    # are fused: their completion times are computable at the grant, so
-    # one event at the link-entry time replaces three chained events.
-    # The fused times are the exact same float expressions the chained
-    # version evaluates, in the same order (per-device admission times
-    # strictly increase, so booking order equals event order).
-    sizes_list = sizes.tolist()
-    devices_list = devices.tolist()
-    media_bw = config.device_internal_bandwidth
-    latency = config.latency
-    link_bw = config.link_bandwidth
-
-    def with_warp(i: int) -> None:
-        link_tags.acquire(with_link_tag, i)
-
-    def with_link_tag(i: int) -> None:
-        device_tags[devices_list[i]].acquire(with_device_tag, i)
-
-    def with_device_tag(i: int) -> None:
-        dev = devices_list[i]
-        if traced:
-            sample_depth(dev)
-        # Admission at the device's op rate, then the device's internal
-        # channel, then the access latency — all booked analytically.
-        admitted = device_ops[dev].book_op(sim.now)
-        media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
-        sim.schedule_at(media_done + latency, after_latency, i, dev)
-
-    def after_latency(i: int, dev: int) -> None:
-        # The response data serialises onto the shared link.
-        link.submit(sizes_list[i] / link_bw, finish, i, dev)
-
-    def finish(i: int, dev: int) -> None:
-        completion[i] = sim.now
-        device_tags[dev].release()
-        link_tags.release()
-        warps.release()
-        if traced:
-            sample_depth(dev)
-
-    with tracer.span("des.step", requests=n, devices=config.num_devices):
-        for i in range(n):
-            warps.acquire(with_warp, i)
-        end = sim.run(max_events=max_events)
+    with tracer.span("des.step", requests=n, devices=num_devices):
+        while True:
+            if processed > limit:
+                raise SimulationError(f"exceeded {max_events} events; runaway sim?")
+            if ready and (not heap or heap[0][0] > now or heap[0][1] > ready[0][0]):
+                _, kind, i = popleft()
+                processed += 1
+                if kind == _GOT_WARP:
+                    if link_used >= link_cap:
+                        link_wait.append(i)
+                        continue
+                    link_used += 1
+                    if link_used > max_link:
+                        max_link = link_used
+                    kind = _GOT_LINK_TAG
+                d = devices_list[i]
+                if kind == _GOT_LINK_TAG:
+                    if dev_used[d] >= dev_cap:
+                        dev_wait[d].append(i)
+                        continue
+                    dev_used[d] += 1
+                if traced:
+                    clock.now = now
+                    sim_tracer.counter_sample(
+                        depth_names[d], dev_used[d] + len(dev_wait[d])
+                    )
+                # Device tag held: admission at the op rate, the internal
+                # media channel and the access latency are all FIFO, so
+                # their finish times are booked now and one event lands
+                # at link entry (per-device admissions strictly increase,
+                # so booking order is event order).
+                t = ops_free[d]
+                if now > t:
+                    t = now
+                t += op_time
+                ops_free[d] = t
+                m = media_free[d]
+                if t > m:
+                    m = t
+                m += media_time[i]
+                media_free[d] = m
+                seq += 1
+                push(heap, (m + latency, seq, _AT_LINK, i))
+                continue
+            if not heap:
+                break
+            now, _, kind, i = pop(heap)
+            processed += 1
+            if kind == _AT_LINK:
+                # The response data serialises onto the shared link.
+                service = link_time[i]
+                t = now if now > link_free else link_free
+                link_free = t = t + service
+                link_busy += service
+                seq += 1
+                push(heap, (t, seq, _FINISH, i))
+                continue
+            # Finish: each freed permit passes straight to its oldest waiter.
+            completion[i] = now
+            d = devices_list[i]
+            waiting = dev_wait[d]
+            if waiting:
+                seq += 1
+                handoff((seq, _GOT_DEVICE_TAG, waiting.popleft()))
+            else:
+                dev_used[d] -= 1
+            if link_wait:
+                seq += 1
+                handoff((seq, _GOT_LINK_TAG, link_wait.popleft()))
+            else:
+                link_used -= 1
+            if next_warp < n:
+                seq += 1
+                handoff((seq, _GOT_WARP, next_warp))
+                next_warp += 1
+            if traced:
+                clock.now = now
+                sim_tracer.counter_sample(
+                    depth_names[d], dev_used[d] + len(dev_wait[d])
+                )
     return DESResult(
-        time=end + (config.step_overhead if include_overhead else 0.0),
+        time=now + (config.step_overhead if include_overhead else 0.0),
         requests=n,
-        link_busy_time=link.busy_time,
-        max_link_tags=link_tags.max_in_use,
-        max_warps=warps.max_in_use,
-        completion_times=completion,
+        link_busy_time=link_busy,
+        max_link_tags=max_link,
+        max_warps=warps,
+        completion_times=np.array(completion, dtype=np.float64),
     )
 
 

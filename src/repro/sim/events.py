@@ -7,12 +7,13 @@ time.  Everything stateful (queues, servers, tag pools) lives in
 
 Hot-path notes: callbacks carry their arguments *in the event tuple*
 (``schedule(delay, cb, *args)``) so callers can share one function per
-simulation instead of allocating a closure per request — the dominant
-cost of the original design.  The sequence number is a plain integer
-bump (not :class:`itertools.count`) and :meth:`Simulator.run` drains the
-heap with locally-bound ``heappop`` — together these changes roughly
-halve the per-event overhead, benchmarked by the ``des`` family in
-``docs/PERFORMANCE.md``.
+simulation instead of allocating a closure per request.  The sequence
+number is a plain integer bump (not :class:`itertools.count`) and
+:meth:`Simulator.run` drains the heap with locally-bound ``heappop``.
+The kernel drives open-loop serving (:mod:`repro.ops`) and the faulty
+DES; the fault-free :func:`repro.sim.des.simulate_step` runs its own
+flat loop with the same ``(time, seq)`` order, so it pays no callback
+or method call per event.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Run ``callback(*args)`` ``delay`` seconds from the current time."""
-        if delay < 0:
+        if not delay >= 0:  # NaN-safe
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self.events.push(self.now + delay, callback, args)
 
@@ -81,7 +82,7 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Run ``callback(*args)`` at absolute virtual ``time`` (>= now)."""
-        if time < self.now:
+        if not time >= self.now:  # NaN-safe
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )

@@ -5,11 +5,12 @@ counted permits (PCIe tags, device queue slots, warp slots), a serialized
 server with per-job service times (the shared link: ``bytes / W``), and a
 rate-limited server (a device's IOPS: one op per ``1/S``).
 
-Callbacks accept positional arguments (``acquire(cb, *args)``); combined
-with :meth:`FifoServer.book` — which advances the server's bookkeeping
-and returns the completion time *without* scheduling an event — the DES
-hot path can fuse consecutive FIFO stages into one scheduled event per
-request (see :func:`repro.sim.des.simulate_step`).
+Callbacks accept positional arguments (``acquire(cb, *args)``).  These
+objects drive the chained-event models — the faulty DES
+(:func:`repro.sim.des.simulate_step_faulty`), which needs a hook between
+every stage to inject faults.  The fault-free
+:func:`repro.sim.des.simulate_step` inlines the same semantics as plain
+ints and floats in one event loop instead.
 """
 
 from __future__ import annotations
@@ -96,28 +97,15 @@ class FifoServer:
         self, service_time: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Enqueue a job; ``callback(*args)`` fires at its completion time."""
-        done = self.book(self.sim.now, service_time)
-        self.sim.schedule_at(done, callback, *args)
-
-    def book(self, ready_time: float, service_time: float) -> float:
-        """Account for a job ready at ``ready_time``; return its finish time.
-
-        Pure bookkeeping — no event is scheduled.  Because the server is
-        FIFO and completion times are computable at submission, a caller
-        that already knows a job's ready time can chain several servers
-        analytically and schedule a single event at the final time
-        (event fusion; the DES fast path in :func:`repro.sim.des.simulate_step`).
-        Jobs must be booked in ready-time order, as a FIFO queue would
-        admit them.
-        """
-        if service_time < 0:
+        if not service_time >= 0:  # NaN-safe
             raise SimulationError(f"{self.name}: negative service time")
-        start = ready_time if ready_time > self._free_at else self._free_at
+        now = self.sim.now
+        start = now if now > self._free_at else self._free_at
         done = start + service_time
         self._free_at = done
         self.busy_time += service_time
         self.jobs += 1
-        return done
+        self.sim.schedule_at(done, callback, *args)
 
     @property
     def free_at(self) -> float:
@@ -134,7 +122,7 @@ class RateServer(FifoServer):
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = "rate-server") -> None:
-        if rate <= 0:
+        if not rate > 0:  # NaN-safe
             raise SimulationError(f"{name}: rate must be positive")
         super().__init__(sim, name=name)
         self.rate = rate
@@ -142,7 +130,3 @@ class RateServer(FifoServer):
     def submit_op(self, callback: Callable[..., None], *args: Any) -> None:
         """Enqueue one op (service time ``1/rate``)."""
         self.submit(1.0 / self.rate, callback, *args)
-
-    def book_op(self, ready_time: float) -> float:
-        """Account for one op ready at ``ready_time``; return its finish time."""
-        return self.book(ready_time, 1.0 / self.rate)

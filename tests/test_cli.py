@@ -106,6 +106,14 @@ def test_chase_cxl_with_added_latency(capsys):
     assert "4.7" in out
 
 
+def test_chase_rejects_nan_latency(capsys):
+    code, _, err = run_cli(
+        capsys, "chase", "--target", "cxl3", "--added-latency-us", "nan"
+    )
+    assert code == 1
+    assert "latency must be positive" in err
+
+
 def test_evaluate_small_scale(capsys):
     code, out, _ = run_cli(capsys, "evaluate", "--scale", "11", "--check")
     assert code == 0

@@ -82,6 +82,13 @@ class TestDESPrediction:
         )
         assert slow > 1.5 * fast
 
+    @pytest.mark.parametrize("cap", [0, -5, float("nan")])
+    def test_bad_request_cap_is_a_model_error(self, paper_bfs_trace, cap):
+        with pytest.raises(ModelError, match="max_requests_per_step"):
+            predict_runtime_des(
+                paper_bfs_trace, emogi_system(), max_requests_per_step=cap
+            )
+
 
 class TestFlashCXL:
     def test_today_flash_exceeds_budget(self, paper_bfs_trace):

@@ -80,6 +80,14 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="past"):
             sim.run()
 
+    def test_nan_times_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="past"):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="past"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert not sim.events
+
     def test_max_events_guard(self):
         sim = Simulator()
 

@@ -91,6 +91,10 @@ class TestFifoServer:
         with pytest.raises(SimulationError, match="negative"):
             FifoServer(Simulator()).submit(-1.0, lambda: None)
 
+    def test_nan_service_time_rejected(self):
+        with pytest.raises(SimulationError, match="negative"):
+            FifoServer(Simulator()).submit(float("nan"), lambda: None)
+
     def test_job_counter(self):
         sim = Simulator()
         server = FifoServer(sim)
@@ -112,3 +116,5 @@ class TestRateServer:
     def test_rate_validation(self):
         with pytest.raises(SimulationError, match="rate"):
             RateServer(Simulator(), rate=0.0)
+        with pytest.raises(SimulationError, match="rate"):
+            RateServer(Simulator(), rate=float("nan"))
