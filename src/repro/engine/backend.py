@@ -250,10 +250,12 @@ class DirectBackend(ExternalMemoryBackend):
         super().__init__(data)
         if alignment_bytes < 1:
             raise DeviceError("alignment must be >= 1")
-        if max_transfer_bytes is not None and (
-            max_transfer_bytes % alignment_bytes != 0
-        ):
-            raise DeviceError("max transfer must be a multiple of the alignment")
+        if max_transfer_bytes is not None:
+            # An alignment above the ceiling forces every read to the
+            # alignment size (XLFDDMethod.effective_max_transfer).
+            max_transfer_bytes = max(max_transfer_bytes, alignment_bytes)
+            if max_transfer_bytes % alignment_bytes != 0:
+                raise DeviceError("max transfer must be a multiple of the alignment")
         self.alignment_bytes = alignment_bytes
         self.max_transfer_bytes = max_transfer_bytes
 
@@ -285,8 +287,7 @@ class CachedBackend(ExternalMemoryBackend):
         self.cache.reset()
 
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        block_ids, _ = expand_to_blocks(starts, lengths, self.cacheline_bytes)
-        misses = self.cache.access(block_ids)
+        misses = self.cache.access_spans(starts, lengths, self.cacheline_bytes)
         self.stats.requests += misses
         self.stats.fetched_bytes += misses * self.cacheline_bytes
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from ..config import BAM_CACHELINE_BYTES
 from ..errors import ModelError
-from ..memsim.alignment import expand_to_blocks
 from ..memsim.cache import CacheModel, StepLocalCache
 from ..traversal.trace import AccessTrace
 from .base import AccessMethod, PhysicalStep, PhysicalTrace
@@ -48,10 +47,9 @@ class BaMMethod(AccessMethod):
         self.cache.reset()
         steps: list[PhysicalStep] = []
         for step in trace:
-            block_ids, _ = expand_to_blocks(
+            misses = self.cache.access_spans(
                 step.starts, step.lengths, self.cacheline_bytes
             )
-            misses = self.cache.access(block_ids)
             steps.append(
                 PhysicalStep(
                     requests=misses,

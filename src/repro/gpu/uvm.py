@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ModelError
-from ..memsim.alignment import expand_to_blocks
 from ..memsim.cache import CacheModel, LRUCache
 from ..traversal.trace import AccessTrace
 from ..units import KIB
@@ -73,8 +72,7 @@ class UVMMethod(AccessMethod):
         self._cache.reset()
         steps: list[PhysicalStep] = []
         for step in trace:
-            page_ids, _ = expand_to_blocks(step.starts, step.lengths, self.page_bytes)
-            faults = self._cache.access(page_ids)
+            faults = self._cache.access_spans(step.starts, step.lengths, self.page_bytes)
             steps.append(
                 PhysicalStep(
                     requests=faults,

@@ -18,6 +18,7 @@ __all__ = [
     "align_up",
     "aligned_span",
     "blocks_per_request",
+    "distinct_block_spans",
     "expand_to_blocks",
     "split_by_max_transfer",
 ]
@@ -84,8 +85,9 @@ def expand_to_blocks(
 
     Returns ``(block_ids, request_idx)`` where ``block_ids[k]`` is the
     ``k``-th block reference of the access stream and ``request_idx[k]``
-    identifies the originating request.  This is the reference stream fed
-    to cache models.
+    identifies the originating request.  This is the reference stream
+    order-dependent cache models (LRU) consume; counting distinct blocks
+    needs only :func:`distinct_block_spans`.
     """
     alignment = _check_alignment(alignment)
     starts = np.asarray(starts, dtype=np.int64)
@@ -94,6 +96,46 @@ def expand_to_blocks(
     request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
     block_ids = ragged_indices(starts // alignment, counts)
     return block_ids, request_idx
+
+
+def distinct_block_spans(
+    starts: np.ndarray, lengths: np.ndarray, alignment: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Disjoint, ascending block spans covering every block the requests touch.
+
+    Returns ``(first_blocks, counts, references)``: span ``k`` is the
+    blocks ``first_blocks[k] .. first_blocks[k] + counts[k] - 1``, no
+    block lies in two spans, and ``counts.sum()`` is the number of
+    distinct blocks.  ``references`` is the length of the block stream
+    :func:`expand_to_blocks` would produce.  Each request becomes its
+    ``(first, last)`` block interval; sorted by ``first`` (skipped when
+    already sorted, as BFS frontiers are), a request keeps only the
+    blocks past the running maximum of the earlier requests' ``last``.
+    That is O(R log R) in requests R, with no per-block array.
+    """
+    alignment = _check_alignment(alignment)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.shape != lengths.shape:
+        raise ModelError("starts and lengths must have the same shape")
+    if lengths.size and lengths.min() < 0:
+        raise ModelError("request lengths must be non-negative")
+    starts, lengths = starts.ravel(), lengths.ravel()
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    first = starts // alignment
+    last = (starts + lengths - 1) // alignment
+    references = int((last - first).sum()) + first.size
+    if first.size > 1 and (first[1:] < first[:-1]).any():
+        order = np.argsort(first)
+        first, last = first[order], last[order]
+    lo = first.copy()
+    if lo.size > 1:
+        np.maximum(lo[1:], np.maximum.accumulate(last)[:-1] + 1, out=lo[1:])
+    counts = last - lo + 1
+    new = counts > 0
+    return lo[new], counts[new], references
 
 
 def split_by_max_transfer(

@@ -14,20 +14,30 @@ GPU memory (Section 3.3.2), while the XLFDD path runs cache-less (Section
 * :class:`LRUCache` — exact fully-associative LRU with finite capacity
   (the BaM-style software cache).
 
-All models consume a *reference stream* of block IDs (see
-:func:`repro.memsim.alignment.expand_to_blocks`) and report hit/miss
-statistics; misses are what external memory must serve.
+Callers price one batch of byte-range reads with
+:meth:`CacheModel.access_spans`.  The order-dependent models (no cache,
+LRU) expand the batch into its block reference stream (see
+:func:`repro.memsim.alignment.expand_to_blocks`); the step-local and ideal
+caches only count distinct blocks, so they work from block intervals
+(:func:`repro.memsim.alignment.distinct_block_spans`) and never build the
+stream.  :meth:`CacheModel.access` still takes a block-ID stream directly.
+Every model reports hit/miss statistics; misses are what external memory
+must serve.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ModelError
+from ..traversal.frontier import ragged_indices
+from .alignment import distinct_block_spans, expand_to_blocks
 
 __all__ = [
     "CacheStats",
@@ -68,6 +78,17 @@ class CacheModel(ABC):
     def access(self, block_ids: np.ndarray) -> int:
         """Process references in order; return the number of misses."""
 
+    def access_spans(
+        self, starts: np.ndarray, lengths: np.ndarray, block_bytes: int
+    ) -> int:
+        """Serve one batch of byte-range reads in ``block_bytes`` blocks.
+
+        Returns the misses: the blocks external memory must fetch.  The
+        default feeds the batch's block reference stream to :meth:`access`.
+        """
+        block_ids, _ = expand_to_blocks(starts, lengths, block_bytes)
+        return self.access(block_ids)
+
     @abstractmethod
     def reset(self) -> None:
         """Drop all cached state and zero the statistics."""
@@ -100,14 +121,23 @@ class StepLocalCache(CacheModel):
     step hit each other's fetches) but nothing survives to the next step.
     This is the paper's software-cache behaviour in the regime it reports —
     per-step working sets far exceed realistic cache capacities, so
-    cross-step reuse is lost to eviction.  Fully vectorized.
+    cross-step reuse is lost to eviction.  :meth:`access_spans` counts the
+    distinct blocks from the requests' block intervals, never per block.
     """
 
     def access(self, block_ids: np.ndarray) -> int:
         block_ids = np.asarray(block_ids, dtype=np.int64)
-        misses = int(np.unique(block_ids).size)
+        return self._count(int(np.unique(block_ids).size), block_ids.size)
+
+    def access_spans(
+        self, starts: np.ndarray, lengths: np.ndarray, block_bytes: int
+    ) -> int:
+        _, counts, references = distinct_block_spans(starts, lengths, block_bytes)
+        return self._count(int(counts.sum()), references)
+
+    def _count(self, misses: int, references: int) -> int:
         self.stats.misses += misses
-        self.stats.hits += block_ids.size - misses
+        self.stats.hits += references - misses
         return misses
 
     def reset(self) -> None:
@@ -122,7 +152,8 @@ class IdealCache(CacheModel):
     integers): membership is one fancy gather, marking is one fancy
     scatter, and the mask grows geometrically — O(batch) amortised per
     access with no per-block Python loop and no re-sorting of the
-    ever-growing seen set.
+    ever-growing seen set.  :meth:`access_spans` expands only the union
+    of the batch's block intervals, which is already sorted and distinct.
     """
 
     def __init__(self) -> None:
@@ -133,8 +164,19 @@ class IdealCache(CacheModel):
         block_ids = np.asarray(block_ids, dtype=np.int64)
         if block_ids.size == 0:
             return 0
-        # First occurrence within this batch, then filter already-seen.
-        unique = np.unique(block_ids)
+        return self._admit(np.unique(block_ids), block_ids.size)
+
+    def access_spans(
+        self, starts: np.ndarray, lengths: np.ndarray, block_bytes: int
+    ) -> int:
+        first, counts, references = distinct_block_spans(starts, lengths, block_bytes)
+        if references == 0:
+            return 0
+        # Disjoint ascending spans expand to sorted, distinct block IDs.
+        return self._admit(ragged_indices(first, counts), references)
+
+    def _admit(self, unique: np.ndarray, references: int) -> int:
+        """Mark the sorted distinct ``unique`` blocks seen; count the new ones."""
         if unique[0] < 0:
             raise ModelError(f"negative block id {unique[0]} in cache access")
         top = int(unique[-1]) + 1
@@ -147,7 +189,7 @@ class IdealCache(CacheModel):
         seen[new_blocks] = True
         misses = int(new_blocks.size)
         self.stats.misses += misses
-        self.stats.hits += block_ids.size - misses
+        self.stats.hits += references - misses
         return misses
 
     def reset(self) -> None:
@@ -177,9 +219,7 @@ class LRUCache(CacheModel):
 
     def __init__(self, capacity_blocks: int) -> None:
         super().__init__()
-        if capacity_blocks < 1:
-            raise ModelError(f"cache capacity must be >= 1 block, got {capacity_blocks}")
-        self.capacity_blocks = int(capacity_blocks)
+        self.capacity_blocks = _whole_count(capacity_blocks, "cache capacity_blocks")
         self._tick_of: dict[int, int] = {}
         self._heap: list[tuple[int, int]] | None = None
         self._tick = 0
@@ -231,13 +271,27 @@ class LRUCache(CacheModel):
         return len(self._tick_of)
 
 
+def _whole_count(value: object, name: str) -> int:
+    """``value`` as an int; ModelError unless it is a finite whole number >= 1."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and float(value).is_integer()
+        and value >= 1
+    ):
+        raise ModelError(f"{name} must be a finite whole number >= 1, got {value!r}")
+    return int(value)
+
+
 def make_cache(
     kind: str, *, capacity_bytes: int | None = None, block_bytes: int | None = None
 ) -> CacheModel:
     """Factory: ``"none"``, ``"step"``, ``"ideal"``, or ``"lru"``.
 
-    LRU requires ``capacity_bytes`` and ``block_bytes``; capacity is
-    rounded down to whole blocks (minimum one).
+    LRU requires ``capacity_bytes`` and ``block_bytes``, each a finite
+    whole number >= 1; capacity is rounded down to whole blocks (minimum
+    one).
     """
     kind = kind.lower()
     if kind == "none":
@@ -249,7 +303,7 @@ def make_cache(
     if kind == "lru":
         if capacity_bytes is None or block_bytes is None:
             raise ModelError("lru cache requires capacity_bytes and block_bytes")
-        if block_bytes < 1:
-            raise ModelError(f"block_bytes must be >= 1, got {block_bytes}")
-        return LRUCache(max(1, capacity_bytes // block_bytes))
-    raise ModelError(f"unknown cache kind {kind!r} (expected none/ideal/lru)")
+        capacity = _whole_count(capacity_bytes, "lru capacity_bytes")
+        block = _whole_count(block_bytes, "lru block_bytes")
+        return LRUCache(max(1, capacity // block))
+    raise ModelError(f"unknown cache kind {kind!r} (expected none/step/ideal/lru)")

@@ -3,9 +3,10 @@
 ``RAF = D / E``: total bytes fetched from external memory over bytes the
 algorithm actually uses.  Two access disciplines are modelled:
 
-* **cache-line access** (:func:`read_amplification`) — requests are split
-  into alignment-sized blocks and served through a cache model; external
-  memory sees one block read per miss.  This is how EMOGI (hardware 32 B
+* **cache-line access** (:func:`read_amplification`) — each step's
+  requests are served in alignment-sized blocks through a cache model
+  (:meth:`repro.memsim.cache.CacheModel.access_spans`); external memory
+  sees one block read per miss.  This is how EMOGI (hardware 32 B
   sectors / 128 B lines) and BaM (software cache, d = a) behave, and it is
   the paper's Figure 3 methodology.
 * **direct access** (:func:`direct_access_amplification`) — each edge
@@ -16,8 +17,11 @@ Both entry points are memoized when their result is a pure function of
 their arguments — cache-line RAF with the default (stateless-across-calls)
 step-local cache, and direct access always — keyed by the trace's content
 fingerprint plus the alignment parameters.  Sweeps price the same trace
-at the same alignment through several systems, so the O(trace bytes)
-block expansion runs once per distinct key and is an O(1) dict hit after.
+at the same alignment through several systems, so each distinct key is
+priced once and is an O(1) dict hit after.  Pricing itself is O(R log R)
+in the step's requests R for the step-local and ideal caches, which
+count distinct blocks from block intervals; only LRU and the no-cache
+model walk the per-block reference stream.
 The memo is a :class:`repro.core.evalcache.Memo`, so it is bounded and
 flushed by :func:`repro.core.evalcache.clear_evaluation_cache`.
 """
@@ -31,7 +35,7 @@ import numpy as np
 
 from ..errors import ModelError, TraceError
 from ..traversal.trace import AccessTrace
-from .alignment import aligned_span, expand_to_blocks, split_by_max_transfer
+from .alignment import aligned_span, split_by_max_transfer
 from .cache import CacheModel, StepLocalCache
 
 __all__ = [
@@ -113,8 +117,7 @@ def _cache_line_raf(
     per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
     per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
-        block_ids, _ = expand_to_blocks(step.starts, step.lengths, alignment)
-        misses = cache.access(block_ids)
+        misses = cache.access_spans(step.starts, step.lengths, alignment)
         per_step_requests[i] = misses
         per_step_fetched[i] = misses * alignment
     return _result(trace, alignment, per_step_fetched, per_step_requests)
@@ -187,7 +190,8 @@ def raf_curve(
 
     ``cache_factory(alignment)`` supplies the cache per point — capacity is
     usually fixed in bytes, so the block count varies with alignment.
-    ``None`` (default) uses a fresh ideal cache per point.
+    ``None`` (default) uses the memoized step-local default of
+    :func:`read_amplification` at every point.
     """
     results = []
     for alignment in alignments:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..traversal.trace import AccessTrace
-from .alignment import expand_to_blocks
+from .alignment import distinct_block_spans, expand_to_blocks
 
 __all__ = ["reuse_distances", "step_working_sets", "working_set_summary", "WorkingSetSummary"]
 
@@ -70,8 +70,8 @@ def step_working_sets(trace: AccessTrace, alignment: int) -> np.ndarray:
     """Distinct blocks touched per step (the per-step working set)."""
     sizes = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
-        block_ids, _ = expand_to_blocks(step.starts, step.lengths, alignment)
-        sizes[i] = np.unique(block_ids).size
+        _, counts, _ = distinct_block_spans(step.starts, step.lengths, alignment)
+        sizes[i] = counts.sum()
     return sizes
 
 
@@ -93,18 +93,19 @@ class WorkingSetSummary:
 
 def working_set_summary(trace: AccessTrace, alignment: int) -> WorkingSetSummary:
     """Compute :class:`WorkingSetSummary` (footprint, reuse, distances)."""
-    streams = [
-        expand_to_blocks(step.starts, step.lengths, alignment)[0] for step in trace
-    ]
-    stream = np.concatenate(streams) if streams else np.empty(0, dtype=np.int64)
-    distinct = int(np.unique(stream).size) if stream.size else 0
+    empty = np.empty(0, dtype=np.int64)
+    _, counts, references = distinct_block_spans(
+        np.concatenate([empty, *(step.starts for step in trace)]),
+        np.concatenate([empty, *(step.lengths for step in trace)]),
+        alignment,
+    )
+    distinct = int(counts.sum())
     per_step = step_working_sets(trace, alignment)
-    reuses = stream.size - distinct
     distances = reuse_distances(trace, alignment)
     return WorkingSetSummary(
         alignment=alignment,
         total_distinct_blocks=distinct,
         max_step_blocks=int(per_step.max()) if per_step.size else 0,
-        reuse_fraction=reuses / stream.size if stream.size else 0.0,
+        reuse_fraction=(references - distinct) / references if references else 0.0,
         median_reuse_distance=float(np.median(distances)) if distances.size else 0.0,
     )

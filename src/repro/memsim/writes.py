@@ -29,7 +29,7 @@ import numpy as np
 from ..config import CXL_FLIT_BYTES, VERTEX_ID_BYTES
 from ..errors import ModelError, TraceError
 from ..traversal.trace import AccessTrace, TraceStep
-from .alignment import expand_to_blocks
+from .alignment import distinct_block_spans, expand_to_blocks
 
 __all__ = [
     "writeback_trace",
@@ -169,13 +169,9 @@ def flash_write_traffic(
     user = 0
     pages_touched = 0
     for step in trace:
-        keep = step.lengths > 0
-        starts, lengths = step.starts[keep], step.lengths[keep]
-        user += int(lengths.sum())
-        if starts.size == 0:
-            continue
-        block_ids, _ = expand_to_blocks(starts, lengths, page_bytes)
-        pages_touched += int(np.unique(block_ids).size)
+        user += step.useful_bytes
+        _, counts, _ = distinct_block_spans(step.starts, step.lengths, page_bytes)
+        pages_touched += int(counts.sum())
     page_writes = pages_touched * page_bytes
     return WriteTraffic(
         user_bytes=user,

@@ -20,6 +20,7 @@ from repro.engine import (
     ZeroCopyBackend,
 )
 from repro.errors import DeviceError, TraceError
+from repro.gpu.xlfdd_driver import XLFDDMethod
 from repro.memsim.cache import LRUCache
 from repro.memsim.coalesce import coalesce_trace
 from repro.memsim.raf import direct_access_amplification, read_amplification
@@ -98,6 +99,17 @@ class TestTrafficCrossValidation:
         assert run.stats.fetched_bytes == model.fetched_bytes
         assert run.stats.requests == model.requests
         assert run.stats.useful_bytes == trace.useful_bytes
+
+    def test_direct_backend_lifts_ceiling_to_alignment(self, urand_small):
+        """An alignment above the 2 kB ceiling prices like XLFDDMethod."""
+        engine = ExternalGraphEngine(
+            urand_small, lambda d: DirectBackend(d, alignment_bytes=4096)
+        )
+        run = workloads.get("bfs").run(engine, source=0)
+        trace = run_algorithm(urand_small, "bfs", source=0)
+        model = XLFDDMethod(alignment_bytes=4096).physical_trace(trace)
+        assert run.stats.fetched_bytes == model.fetched_bytes
+        assert run.stats.requests == model.total_requests
 
     def test_cached_backend_matches_model(self, urand_small):
         engine = ExternalGraphEngine(

@@ -1,11 +1,14 @@
 """Property-based tests: alignment, caches, read amplification."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ModelError
 from repro.memsim.alignment import (
     aligned_span,
     blocks_per_request,
+    distinct_block_spans,
     expand_to_blocks,
     split_by_max_transfer,
 )
@@ -120,6 +123,74 @@ def test_cache_stats_conservation(batches):
             cache.access(batch)
         total = sum(b.size for b in batches)
         assert cache.stats.hits + cache.stats.misses == total
+
+
+span_alignments = st.sampled_from([1, 3, 16, 4096])
+
+
+@st.composite
+def span_batches(draw):
+    """Multi-step batches of unsorted, duplicate, overlapping and
+    zero-length byte-range reads."""
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(0, 25))
+        starts = draw(st.lists(st.integers(0, 20_000), min_size=m, max_size=m))
+        lengths = draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(1, 64), st.integers(1, 9_000)),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        if m and draw(st.booleans()):  # repeat a request verbatim
+            starts.append(starts[0])
+            lengths.append(lengths[0])
+        batches.append(
+            (np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64))
+        )
+    return batches
+
+
+@given(span_batches(), span_alignments)
+@settings(max_examples=150, deadline=None)
+def test_access_spans_matches_block_stream(batches, a):
+    """Every model prices a byte-range batch exactly as it prices the
+    batch's expanded block stream: same misses, same hits."""
+    for make in (NoCache, StepLocalCache, IdealCache, lambda: LRUCache(5)):
+        spans, stream = make(), make()
+        for starts, lengths in batches:
+            expected = stream.access(expand_to_blocks(starts, lengths, a)[0])
+            assert spans.access_spans(starts, lengths, a) == expected
+        assert (spans.stats.hits, spans.stats.misses) == (
+            stream.stats.hits,
+            stream.stats.misses,
+        )
+
+
+@given(span_batches(), span_alignments)
+@settings(max_examples=150, deadline=None)
+def test_distinct_block_spans_cover_the_block_set(batches, a):
+    for starts, lengths in batches:
+        first, counts, references = distinct_block_spans(starts, lengths, a)
+        blocks = expand_to_blocks(starts, lengths, a)[0]
+        union = np.repeat(first, counts) + (
+            np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        )
+        assert np.array_equal(union, np.unique(blocks))
+        assert references == blocks.size
+        assert np.all(counts > 0)
+
+
+@given(span_batches(), span_alignments)
+@settings(max_examples=40, deadline=None)
+def test_access_spans_rejects_negative_lengths(batches, a):
+    starts, lengths = batches[0]
+    starts = np.append(starts, 0)
+    lengths = np.append(lengths, -1)
+    for cache in (NoCache(), StepLocalCache(), IdealCache(), LRUCache(5)):
+        with pytest.raises(ModelError, match="non-negative"):
+            cache.access_spans(starts, lengths, a)
 
 
 @st.composite
